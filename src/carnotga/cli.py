@@ -14,7 +14,7 @@ import json
 import sys
 
 from .errors import DegenerateConfiguration, InfeasibleTarget
-from .models import Model
+from .models import Model, _spec
 from .steering import (
     SteerOptions,
     compute_invariants,
@@ -30,11 +30,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INFEASIBLE = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
-
-_INVARIANT_NAMES = {
-    Model.M36: ("xx", "zz", "xz_star"),
-    Model.M47: ("x", "ll", "ly_e1", "yy"),
-}
 
 
 class _CliError(Exception):
@@ -88,8 +83,7 @@ def _write_text(path: str | None, text: str):
 
 
 def _trajectory_csv(report_dict: dict) -> str:
-    model = Model(report_dict["model"])
-    cols = ("t",) + coordinate_columns(model)
+    cols = ("t",) + coordinate_columns(report_dict["model"])
     traj = report_dict["trajectory"]
     import io
 
@@ -103,12 +97,10 @@ def _trajectory_csv(report_dict: dict) -> str:
 
 def _emit_plot_data(report_dict: dict, stem: str):
     """Per-axis CSV files grouped the way the trajectories are usually drawn."""
-    model = Model(report_dict["model"])
     traj = report_dict["trajectory"]
-    if model is Model.M36:
-        groups = {"x": ("x1", "x2", "x3"), "z": ("z1", "z2", "z3")}
-    else:
-        groups = {"x": ("x",), "l": ("l1", "l2", "l3"), "y": ("y1", "y2", "y3")}
+    groups = {}
+    for col in coordinate_columns(report_dict["model"]):
+        groups.setdefault(col.rstrip("0123456789"), []).append(col)
     for name, cols in groups.items():
         rows = ["t," + ",".join(cols)]
         for i in range(len(traj["t"])):
@@ -124,7 +116,7 @@ def _cmd_invariants(args) -> int:
     values = compute_invariants(model, mv)
     out = {
         "model": model.value,
-        "invariants": dict(zip(_INVARIANT_NAMES[model], (float(v) for v in values))),
+        "invariants": dict(zip(_spec(model).invariant_names, (float(v) for v in values))),
     }
     _write_text(args.out, json.dumps(out, indent=2))
     return EXIT_OK
@@ -192,14 +184,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_steer = sub.add_parser("steer", help="steer the origin to a target point")
     add_target_opts(p_steer)
-    p_steer.add_argument("--samples", type=int, default=200, help="trajectory samples")
-    p_steer.add_argument("--kmax", type=float, default=10.0, help="frequency bound")
-    p_steer.add_argument("--tmax", type=float, default=20.0, help="arrival time bound")
-    p_steer.add_argument("--tol", type=float, default=1e-9, help="solver residual tolerance")
-    p_steer.add_argument("--starts", type=int, default=64, help="multistart count")
-    p_steer.add_argument("--seed", type=int, default=0, help="start sampler seed")
+    d = SteerOptions()
+    p_steer.add_argument("--samples", type=int, default=d.samples, help="trajectory samples")
+    p_steer.add_argument("--kmax", type=float, default=d.k_max, help="frequency bound")
+    p_steer.add_argument("--tmax", type=float, default=d.t_max, help="arrival time bound")
+    p_steer.add_argument("--tol", type=float, default=d.tolerance, help="solver residual tolerance")
+    p_steer.add_argument("--starts", type=int, default=d.max_starts, help="multistart count")
+    p_steer.add_argument("--seed", type=int, default=d.seed, help="start sampler seed")
     p_steer.add_argument(
-        "--bound", type=float, default=5e-2, help="acceptance bound on the endpoint error"
+        "--bound",
+        type=float,
+        default=d.acceptance_bound,
+        help="acceptance bound on the endpoint error",
     )
     p_steer.add_argument(
         "--format", choices=["json", "csv"], default="json", help="report or trajectory output"

@@ -23,15 +23,19 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import RotorDomain
+from .flags import frame_flag_36, frame_flag_47
 from .ga import (
     Multivector,
     Rotor,
+    blade_index,
     geometric_product,
     grade_project,
     inner_product,
@@ -91,12 +95,6 @@ class Model36Point:
         c[1], c[2], c[4] = x
         c[3], c[5], c[6] = z
         return cls(Multivector(3, c))
-
-    @classmethod
-    def from_vector_parts(cls, x_coords, z_vector) -> "Model36Point":
-        """Build from the classical coordinates (x_1..x_3, z_1..z_3)."""
-        z1, z2, z3 = np.asarray(z_vector, float)
-        return cls.from_parts(x_coords, (z3, -z2, z1))
 
     @property
     def x_coords(self) -> np.ndarray:
@@ -301,7 +299,7 @@ class GeodesicParams36:
 
     @property
     def level(self) -> float:
-        return self.D * self.D + self.C3 * self.C3
+        return _level_36(self.K, self.D, self.C3)
 
 
 @dataclass(frozen=True)
@@ -326,7 +324,15 @@ class GeodesicParams47:
 
     @property
     def level(self) -> float:
-        return self.K * self.K * (self.C1 * self.C1 + self.C2 * self.C2) + self.C * self.C
+        return _level_47(self.K, self.C1, self.C2, self.C)
+
+
+def _level_36(K, D, C3):
+    return D * D + C3 * C3
+
+
+def _level_47(K, C1, C2, C):
+    return K * K * (C1 * C1 + C2 * C2) + C * C
 
 
 def _geodesic_raw_36(K: float, D: float, C3: float, t: float) -> np.ndarray:
@@ -408,35 +414,49 @@ class Invariants47:
         return (self.x, self.ll, self.ly_e1, self.yy)
 
 
-def invariants_36(point) -> Invariants36:
-    """Rotation invariants (x.x, z.z, (x^z)*), evaluated by algebra operations."""
-    mv = point.mv if isinstance(point, Model36Point) else point
+_I3 = pseudoscalar(3)
+_E1 = Multivector.basis_vector(4, 1)
+
+
+def _ga_invariants_36(mv: Multivector) -> tuple:
+    """(x.x, z.z, (x^z)*) of a dense G_3 element."""
     x = grade_project(mv, 1)
     z = grade_project(mv, 2)
-    xx = inner_product(x, x).scalar_part
-    zz = inner_product(z, z).scalar_part
-    xzs = geometric_product(outer_product(x, z), pseudoscalar(3)).scalar_part
-    return Invariants36(xx, zz, xzs)
+    return (
+        inner_product(x, x).scalar_part,
+        inner_product(z, z).scalar_part,
+        geometric_product(outer_product(x, z), _I3).scalar_part,
+    )
 
 
-def invariants_47(point) -> Invariants47:
-    """Invariants (x, l.l, (l.y) e1, y.y) of the symmetry action fixing e1."""
-    mv = point.mv if isinstance(point, Model47Point) else point
+def _ga_invariants_47(mv: Multivector) -> tuple:
+    """(x, l.l, (l.y) e1, y.y) of a dense G_4 element."""
     g1 = grade_project(mv, 1)
     xc = g1.coeff(_E1_4)
     lvec = g1 - Multivector.blade(4, _E1_4, xc)
     y = grade_project(mv, 2)
-    ll = inner_product(lvec, lvec).scalar_part
-    yy = inner_product(y, y).scalar_part
-    lye1 = geometric_product(inner_product(lvec, y), Multivector.basis_vector(4, 1)).scalar_part
-    return Invariants47(xc, ll, lye1, yy)
+    return (
+        xc,
+        inner_product(lvec, lvec).scalar_part,
+        geometric_product(inner_product(lvec, y), _E1).scalar_part,
+        inner_product(y, y).scalar_part,
+    )
+
+
+def invariants_36(point) -> Invariants36:
+    """Rotation invariants (x.x, z.z, (x^z)*), evaluated by algebra operations."""
+    return invariants(Model.M36, point)
+
+
+def invariants_47(point) -> Invariants47:
+    """Invariants (x, l.l, (l.y) e1, y.y) of the symmetry action fixing e1."""
+    return invariants(Model.M47, point)
 
 
 def invariants(model, point):
-    model = _as_model(model)
-    if model is Model.M36:
-        return invariants_36(point)
-    return invariants_47(point)
+    spec = _spec(model)
+    mv = point.mv if isinstance(point, spec.point_cls) else point
+    return spec.invariants_cls(*spec.ga_invariants(mv))
 
 
 # ---------------------------------------------------------------------------
@@ -519,3 +539,155 @@ def invariant_closed_forms(model, params, t: float):
         (C1 * C1 + C2 * C2) ** 2 * (kt - c) ** 2 + C * C / (K * K) * bracket**2
     )
     return (x, ll, lye1, yy)
+
+
+# ---------------------------------------------------------------------------
+# per-model specs: what the solver, the pipeline and the CLI read
+
+
+def _starts_36(k0, t0, raw):
+    theta = 0.1 + raw[:, 2] * (np.pi - 0.2)
+    return [np.array([k, np.sin(th), np.cos(th), t]) for k, t, th in zip(k0, t0, theta)]
+
+
+def _starts_47(k0, t0, raw):
+    alpha = 0.1 + raw[:, 2] * (np.pi - 0.2)
+    psi = raw[:, 3] * 2.0 * np.pi
+    out = []
+    for k, t, al, ps in zip(k0, t0, alpha, psi):
+        r = np.sin(al) / k
+        out.append(np.array([k, r * np.cos(ps), r * np.sin(ps), np.cos(al), t]))
+    return out
+
+
+def _rk4_rhs_36(s, omega):
+    x = s[0:3]
+    h = s[6:9]
+    dz = 0.5 * np.array(
+        [x[0] * h[1] - x[1] * h[0], x[0] * h[2] - x[2] * h[0], x[1] * h[2] - x[2] * h[1]]
+    )
+    return np.concatenate([h, dz, -omega @ h])
+
+
+def _rk4_rhs_47(s, omega):
+    x = s[0]
+    l = s[1:4]
+    h = s[7:11]
+    dy = 0.5 * (x * h[1:4] - h[0] * l)
+    return np.concatenate([[h[0]], h[1:4], dy, -omega @ h])
+
+
+def _aligned_fiber_36(params):
+    if params.K == 0.0:
+        return np.zeros(3), np.array([0.0, params.D, params.C3])
+    return np.array([-params.K, 0.0, 0.0]), np.array([0.0, -params.D, -params.C3])
+
+
+def _aligned_fiber_47(params):
+    if params.K == 0.0:
+        return np.zeros(3), np.array([0.0, 0.0, params.C, 0.0])
+    return (
+        np.array([params.K, 0.0, 0.0]),
+        np.array([params.C1, params.C2, 0.0, params.C / params.K]),
+    )
+
+
+@dataclass(frozen=True)
+class _ModelSpec:
+    """What differs between the two models; the rest is derived from it.
+
+    The shared data format is the raw coefficient vector in the model's
+    blade order ``blades``, which ``index`` maps onto the dense Multivector:
+    the raw geodesics return it and the RK4 state begins with it.  A raw
+    parameter vector u holds the params fields in order, so
+    ``params_cls(*u)`` builds params and ``u[:-1]`` drops the arrival time.
+    """
+
+    blades: tuple  # raw order
+    columns: tuple  # classical coordinates: (name, raw position, sign)
+    point_cls: type
+    params_cls: type
+    invariants_cls: type
+    geodesic_raw: Callable  # (*u[:-1], t) -> raw vector
+    ga_invariants: Callable  # dense Multivector -> invariant tuple
+    level: Callable  # (*u[:-1]) -> arc-length level, 1 on unit-speed curves
+    fold_abs: int  # sign fold: (K, u[2]) flip when K < 0, then u[fold_abs] -> |u[fold_abs]|
+    t_floor: Callable  # invariants -> lower bound on the arrival time
+    start: Callable  # (K column, t column, unit-cube draws) -> start vectors
+    flag: Callable
+    fiber: Callable
+    rk4_rhs: Callable  # (state, omega) -> d state / dt
+    aligned_fiber: Callable  # params -> (kvec, fiber constants)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        return np.array([blade_index(b) for b in self.blades])
+
+    @cached_property
+    def dim(self) -> int:
+        return int(self.index.max()).bit_length()
+
+    @cached_property
+    def param_names(self) -> tuple:
+        return tuple(f.name for f in fields(self.params_cls))
+
+    @cached_property
+    def invariant_names(self) -> tuple:
+        return tuple(f.name for f in fields(self.invariants_cls))
+
+    def mv(self, raw) -> Multivector:
+        c = np.zeros(1 << self.dim)
+        c[self.index] = raw
+        return Multivector(self.dim, c)
+
+    def geodesic_mv(self, u, t) -> Multivector:
+        """Representative curve of raw parameters u at time t."""
+        return self.mv(self.geodesic_raw(*u[:-1], t))
+
+
+_SPECS = {
+    Model.M36: _ModelSpec(
+        blades=("e1", "e2", "e3", "e12", "e13", "e23"),
+        columns=(
+            ("x1", 0, 1.0), ("x2", 1, 1.0), ("x3", 2, 1.0),
+            ("z1", 5, 1.0), ("z2", 4, -1.0), ("z3", 3, 1.0),
+        ),
+        point_cls=Model36Point,
+        params_cls=GeodesicParams36,
+        invariants_cls=Invariants36,
+        geodesic_raw=_geodesic_raw_36,
+        ga_invariants=_ga_invariants_36,
+        level=_level_36,
+        fold_abs=1,
+        t_floor=lambda inv: np.sqrt(max(inv[0], 0.0)),
+        start=_starts_36,
+        flag=frame_flag_36,
+        fiber=fiber_solution_36,
+        rk4_rhs=_rk4_rhs_36,
+        aligned_fiber=_aligned_fiber_36,
+    ),
+    Model.M47: _ModelSpec(
+        blades=("e1", "e2", "e3", "e4", "e12", "e13", "e14"),
+        columns=(
+            ("x", 0, 1.0), ("l1", 1, 1.0), ("l2", 2, 1.0), ("l3", 3, 1.0),
+            ("y1", 4, 1.0), ("y2", 5, 1.0), ("y3", 6, 1.0),
+        ),
+        point_cls=Model47Point,
+        params_cls=GeodesicParams47,
+        invariants_cls=Invariants47,
+        geodesic_raw=_geodesic_raw_47,
+        ga_invariants=_ga_invariants_47,
+        level=_level_47,
+        fold_abs=3,
+        t_floor=lambda inv: np.sqrt(max(inv[0] ** 2 + inv[1], 0.0)),
+        start=_starts_47,
+        flag=frame_flag_47,
+        fiber=fiber_solution_47,
+        rk4_rhs=_rk4_rhs_47,
+        aligned_fiber=_aligned_fiber_47,
+    ),
+}
+
+
+def _spec(model) -> _ModelSpec:
+    return _SPECS[_as_model(model)]

@@ -20,96 +20,32 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import InfeasibleTarget
-from .ga import Multivector, geometric_product, grade_project, inner_product, outer_product, pseudoscalar
-from .models import (
-    GeodesicParams36,
-    GeodesicParams47,
-    Model,
-    Model36Point,
-    Model47Point,
-    _as_model,
-    _geodesic_raw_36,
-    _geodesic_raw_47,
-    fiber_solution_36,
-    fiber_solution_47,
-    omega_matrix,
-)
+from .models import Model, _as_model, _spec, omega_matrix
 
 _BIG = 1e12
 
-_E1 = Multivector.basis_vector(4, 1)
-_I3 = pseudoscalar(3)
 
-
-def _invariants_raw_36(v: np.ndarray) -> np.ndarray:
-    c = np.zeros(8)
-    c[1], c[2], c[4] = v[:3]
-    c[3], c[5], c[6] = v[3:]
-    q = Multivector(3, c)
-    x = grade_project(q, 1)
-    z = grade_project(q, 2)
-    return np.array(
-        [
-            inner_product(x, x).scalar_part,
-            inner_product(z, z).scalar_part,
-            geometric_product(outer_product(x, z), _I3).scalar_part,
-        ]
-    )
-
-
-def _invariants_raw_47(v: np.ndarray) -> np.ndarray:
-    c = np.zeros(16)
-    c[1], c[2], c[4], c[8] = v[:4]
-    c[3], c[5], c[9] = v[4:]
-    q = Multivector(4, c)
-    xc = c[1]
-    lvec = grade_project(q, 1) - Multivector.blade(4, "e1", xc)
-    y = grade_project(q, 2)
-    return np.array(
-        [
-            xc,
-            inner_product(lvec, lvec).scalar_part,
-            geometric_product(inner_product(lvec, y), _E1).scalar_part,
-            inner_product(y, y).scalar_part,
-        ]
-    )
-
-
-def _residual_raw(model: Model, u: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _residual_raw(spec, u: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Invariant mismatch plus level-set defect at a raw parameter vector."""
-    if model is Model.M36:
-        K, D, C3, t = u
-        if abs(K) < 1e-10:
-            return np.full(4, _BIG)
-        vals = _geodesic_raw_36(K, D, C3, t)
-        if not np.all(np.isfinite(vals)):
-            return np.full(4, _BIG)
-        inv = _invariants_raw_36(vals)
-        return np.concatenate([inv - target, [D * D + C3 * C3 - 1.0]])
-    K, C1, C2, C, t = u
-    if abs(K) < 1e-10:
-        return np.full(5, _BIG)
-    vals = _geodesic_raw_47(K, C1, C2, C, t)
+    if abs(u[0]) < 1e-10:
+        return np.full(len(u), _BIG)
+    vals = spec.geodesic_raw(*u)
     if not np.all(np.isfinite(vals)):
-        return np.full(5, _BIG)
-    inv = _invariants_raw_47(vals)
-    return np.concatenate([inv - target, [K * K * (C1 * C1 + C2 * C2) + C * C - 1.0]])
+        return np.full(len(u), _BIG)
+    inv = np.array(spec.ga_invariants(spec.mv(vals)))
+    return np.concatenate([inv - target, [spec.level(*u[:-1]) - 1.0]])
 
 
 def residual(model, params, t: float, target) -> np.ndarray:
     """Public residual: invariant mismatch of the representative geodesic at
     time t against the target, with the level-set defect appended."""
-    model = _as_model(model)
+    spec = _spec(model)
     target = np.asarray(target, float)
-    if model is Model.M36:
-        u = np.array([params.K, params.D, params.C3, t])
-        if target.shape != (3,):
-            raise ValueError("target for this model has 3 invariants")
-    else:
-        u = np.array([params.K, params.C1, params.C2, params.C, t])
-        if target.shape != (4,):
-            raise ValueError("target for this model has 4 invariants")
-    return _residual_raw(model, u, target)
+    u = np.array([getattr(params, name) for name in spec.param_names[:-1]] + [t])
+    n = len(spec.invariant_names)
+    if target.shape != (n,):
+        raise ValueError(f"target for this model has {n} invariants")
+    return _residual_raw(spec, u, target)
 
 
 def _line_search(f, u, fu, step):
@@ -195,7 +131,7 @@ class SolveRequest:
 
     def __post_init__(self):
         self.model = _as_model(self.model)
-        want = 3 if self.model is Model.M36 else 4
+        want = len(_spec(self.model).invariant_names)
         if len(self.target) != want:
             raise ValueError(f"model {self.model.value} takes {want} invariants")
         if self.k_max <= 0 or self.t_max <= 0 or self.tolerance <= 0:
@@ -221,34 +157,18 @@ class SolveResult:
     converged: int
 
 
-def _starts(req: SolveRequest) -> np.ndarray:
-    d = 3 if req.model is Model.M36 else 4
-    sampler = qmc.LatinHypercube(d=d, seed=req.seed)
+def _starts(req: SolveRequest, spec) -> list:
+    sampler = qmc.LatinHypercube(d=len(spec.param_names) - 1, seed=req.seed)
     raw = sampler.random(req.max_starts)
-    out = []
     # unit-speed horizontal curves cannot beat the straight line, so the
     # arrival time is at least the horizontal displacement of the target
-    if req.model is Model.M36:
-        t_floor = np.sqrt(max(req.target[0], 0.0))
-    else:
-        t_floor = np.sqrt(max(req.target[0] ** 2 + req.target[1], 0.0))
-    t_lo = min(max(0.2, 0.999 * t_floor), 0.9 * req.t_max)
+    t_lo = min(max(0.2, 0.999 * spec.t_floor(req.target)), 0.9 * req.t_max)
     k0 = 0.05 + raw[:, 0] * (req.k_max - 0.05)
     t0 = t_lo + raw[:, 1] * (req.t_max - t_lo)
-    if req.model is Model.M36:
-        theta = 0.1 + raw[:, 2] * (np.pi - 0.2)
-        for k, t, th in zip(k0, t0, theta):
-            out.append(np.array([k, np.sin(th), np.cos(th), t]))
-    else:
-        alpha = 0.1 + raw[:, 2] * (np.pi - 0.2)
-        psi = raw[:, 3] * 2.0 * np.pi
-        for k, t, al, ps in zip(k0, t0, alpha, psi):
-            r = np.sin(al) / k
-            out.append(np.array([k, r * np.cos(ps), r * np.sin(ps), np.cos(al), t]))
-    return out
+    return spec.start(k0, t0, raw)
 
 
-def _canonicalize(model: Model, u: np.ndarray) -> np.ndarray:
+def _canonicalize(spec, u: np.ndarray) -> np.ndarray:
     """Fold the documented sign symmetries to a canonical representative.
 
     36: D -> |D| (a half-turn about the drift axis gives the same moduli
@@ -256,26 +176,18 @@ def _canonicalize(model: Model, u: np.ndarray) -> np.ndarray:
     and C -> |C| (flipping the drift direction is a rotation of the orbit).
     """
     u = u.copy()
-    if model is Model.M36:
-        if u[0] < 0:
-            u[0], u[2] = -u[0], -u[2]
-        u[1] = abs(u[1])
-    else:
-        if u[0] < 0:
-            u[0], u[2] = -u[0], -u[2]
-        u[3] = abs(u[3])
+    if u[0] < 0:
+        u[0], u[2] = -u[0], -u[2]
+    u[spec.fold_abs] = abs(u[spec.fold_abs])
     return u
 
 
-def _orbit_signature(model: Model, u: np.ndarray) -> np.ndarray:
+def _orbit_signature(spec, u: np.ndarray) -> np.ndarray:
     """Invariant curve fingerprint used to identify orbit-equivalent roots."""
     t = u[-1]
     sig = [t]
     for frac in (0.25, 0.5, 0.75, 1.0):
-        if model is Model.M36:
-            sig.extend(_invariants_raw_36(_geodesic_raw_36(u[0], u[1], u[2], frac * t)))
-        else:
-            sig.extend(_invariants_raw_47(_geodesic_raw_47(u[0], u[1], u[2], u[3], frac * t)))
+        sig.extend(spec.ga_invariants(spec.geodesic_mv(u, frac * t)))
     return np.array(sig)
 
 
@@ -287,22 +199,23 @@ def solve(req: SolveRequest) -> SolveResult:
     distance and by invariant-curve signature, and sorted by arrival time.
     Raises InfeasibleTarget when no start converges at all.
     """
+    spec = _spec(req.model)
     target = np.asarray(req.target, float)
 
     def f(u):
-        return _residual_raw(req.model, u, target)
+        return _residual_raw(spec, u, target)
 
     roots = []
     signatures = []
     converged = 0
     attempted = 0
-    for u0 in _starts(req):
+    for u0 in _starts(req, spec):
         attempted += 1
         u, fu, ok = _newton(f, u0)
         if not ok:
             continue
         converged += 1
-        u = _canonicalize(req.model, u)
+        u = _canonicalize(spec, u)
         k, t = u[0], u[-1]
         if not (0.0 < k <= req.k_max and 0.0 < t <= req.t_max):
             continue
@@ -312,7 +225,7 @@ def solve(req: SolveRequest) -> SolveResult:
             continue
         if any(np.max(np.abs(u - r[0])) <= req.dedup_radius for r in roots):
             continue
-        sig = _orbit_signature(req.model, u)
+        sig = _orbit_signature(spec, u)
         scale = max(1.0, float(np.max(np.abs(sig))))
         if any(np.max(np.abs(sig - s)) <= 1e-6 * scale for s in signatures):
             continue
@@ -328,14 +241,10 @@ def solve(req: SolveRequest) -> SolveResult:
         )
 
     roots.sort(key=lambda r: r[0][-1])
-    sols = []
-    for u, rnorm in roots:
-        u = [float(v) for v in u]
-        if req.model is Model.M36:
-            params = GeodesicParams36(K=u[0], D=u[1], C3=u[2], t_final=u[3])
-        else:
-            params = GeodesicParams47(K=u[0], C1=u[1], C2=u[2], C=u[3], t_final=u[4])
-        sols.append(SolveSolution(params=params, residual_norm=rnorm))
+    sols = [
+        SolveSolution(params=spec.params_cls(*(float(v) for v in u)), residual_norm=rnorm)
+        for u, rnorm in roots
+    ]
     return SolveResult(solutions=tuple(sols), starts_attempted=attempted, converged=converged)
 
 
@@ -352,52 +261,21 @@ def rk4_endpoint(model, kvec, constants, t_final: float, steps: int):
     This path never uses the closed-form trigonometric solutions, so it is
     a genuine cross-check for them.
     """
-    model = _as_model(model)
+    spec = _spec(model)
     if steps < 1:
         raise ValueError("steps must be at least 1")
     kvec = np.asarray(kvec, float)
     dt = t_final / steps
-    if model is Model.M36:
-        omega = omega_matrix(model, *kvec)
-        h0 = fiber_solution_36(kvec, constants, 0.0)
-        state = np.zeros(9)
-        state[6:] = h0
-
-        def rhs(s):
-            x = s[0:3]
-            h = s[6:9]
-            dz = 0.5 * np.array(
-                [x[0] * h[1] - x[1] * h[0], x[0] * h[2] - x[2] * h[0], x[1] * h[2] - x[2] * h[1]]
-            )
-            return np.concatenate([h, dz, -omega @ h])
-
-        for _ in range(steps):
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * dt * k1)
-            k3 = rhs(state + 0.5 * dt * k2)
-            k4 = rhs(state + dt * k3)
-            state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return Model36Point.from_parts(state[0:3], state[3:6])
-
     omega = omega_matrix(model, *kvec)
-    h0 = fiber_solution_47(kvec, constants, 0.0)
-    state = np.zeros(11)
-    state[7:] = h0
-
-    def rhs47(s):
-        x = s[0]
-        l = s[1:4]
-        h = s[7:11]
-        dy = 0.5 * (x * h[1:4] - h[0] * l)
-        return np.concatenate([[h[0]], h[1:4], dy, -omega @ h])
-
+    n = len(spec.blades)
+    state = np.concatenate([np.zeros(n), spec.fiber(kvec, constants, 0.0)])
     for _ in range(steps):
-        k1 = rhs47(state)
-        k2 = rhs47(state + 0.5 * dt * k1)
-        k3 = rhs47(state + 0.5 * dt * k2)
-        k4 = rhs47(state + dt * k3)
+        k1 = spec.rk4_rhs(state, omega)
+        k2 = spec.rk4_rhs(state + 0.5 * dt * k1, omega)
+        k3 = spec.rk4_rhs(state + 0.5 * dt * k2, omega)
+        k4 = spec.rk4_rhs(state + dt * k3, omega)
         state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return Model47Point.from_parts(state[0], state[1:4], state[4:7])
+    return spec.point_cls(spec.mv(state[:n]))
 
 
 def aligned_fiber_inputs(model, params):
@@ -408,14 +286,4 @@ def aligned_fiber_inputs(model, params):
     with constants (0, -D, -C3); for the other it is (K, 0, 0) with
     constants (C1, C2, 0, C/K).  Used by the oracle-equivalence tests.
     """
-    model = _as_model(model)
-    if model is Model.M36:
-        if params.K == 0.0:
-            return np.zeros(3), np.array([0.0, params.D, params.C3])
-        return np.array([-params.K, 0.0, 0.0]), np.array([0.0, -params.D, -params.C3])
-    if params.K == 0.0:
-        return np.zeros(3), np.array([0.0, 0.0, params.C, 0.0])
-    return (
-        np.array([params.K, 0.0, 0.0]),
-        np.array([params.C1, params.C2, 0.0, params.C / params.K]),
-    )
+    return _spec(model).aligned_fiber(params)

@@ -11,35 +11,16 @@ origin to q_t with the final point matching up to solver tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .errors import InfeasibleTarget
-from .flags import align_flags, frame_flag_36, frame_flag_47
+from .flags import align_flags
 from .ga import Multivector, Rotor, blade_index, sandwich
-from .models import (
-    GeodesicParams36,
-    GeodesicParams47,
-    Model,
-    Model36Point,
-    Model47Point,
-    _as_model,
-    invariants,
-    representative_geodesic_36,
-    representative_geodesic_47,
-)
+from .models import Model, _as_model, _spec, invariants
 from .solver import SolveRequest, solve
-
-_ALLOWED_BLADES = {
-    Model.M36: ("e1", "e2", "e3", "e12", "e13", "e23"),
-    Model.M47: ("e1", "e2", "e3", "e4", "e12", "e13", "e14"),
-}
-
-_COORD_COLUMNS = {
-    Model.M36: ("x1", "x2", "x3", "z1", "z2", "z3"),
-    Model.M47: ("x", "l1", "l2", "l3", "y1", "y2", "y3"),
-}
 
 
 @dataclass
@@ -85,55 +66,38 @@ def point_from_blade_map(model, data: dict) -> Multivector:
     subspace are accepted, which keeps the embedding unambiguous.
     """
     model = _as_model(model)
-    dim = 3 if model is Model.M36 else 4
-    allowed = _ALLOWED_BLADES[model]
-    c = np.zeros(1 << dim)
+    spec = _spec(model)
+    c = np.zeros(1 << spec.dim)
     for key, value in data.items():
-        if key not in allowed:
+        if key not in spec.blades:
             raise ValueError(
                 f"blade {key!r} is not part of model {model.value}; "
-                f"allowed: {', '.join(allowed)}"
+                f"allowed: {', '.join(spec.blades)}"
             )
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"coefficient of {key!r} must be a real number, got {value!r}")
         c[blade_index(key)] = float(value)
-    return Multivector(dim, c)
+    return Multivector(spec.dim, c)
 
 
 def point_to_blade_map(model, mv: Multivector) -> dict:
-    model = _as_model(model)
-    out = {}
-    for key in _ALLOWED_BLADES[model]:
-        v = float(mv.coeffs[blade_index(key)])
-        out[key] = v
-    return out
-
-
-def wrap_point(model, mv: Multivector):
-    model = _as_model(model)
-    return Model36Point(mv) if model is Model.M36 else Model47Point(mv)
+    spec = _spec(model)
+    return {key: float(v) for key, v in zip(spec.blades, mv.coeffs[spec.index])}
 
 
 def coordinate_row(model, mv: Multivector) -> list:
     """Classical coordinates of a point, in the conventional order."""
-    model = _as_model(model)
-    p = wrap_point(model, mv)
-    if model is Model.M36:
-        return [*p.x_coords, *p.z_vector]
-    return [p.x, *p.l_coords, *p.y_coords]
+    spec = _spec(model)
+    raw = spec.point_cls(mv).mv.coeffs[spec.index]
+    return [sign * raw[pos] for _, pos, sign in spec.columns]
 
 
 def coordinate_columns(model) -> tuple:
-    return _COORD_COLUMNS[_as_model(model)]
+    return tuple(name for name, _, _ in _spec(model).columns)
 
 
 def compute_invariants(model, mv: Multivector) -> tuple:
-    model = _as_model(model)
-    return invariants(model, wrap_point(model, mv)).as_tuple()
-
-
-def _representative(model, params, t):
-    if model is Model.M36:
-        return representative_geodesic_36(params, t)
-    return representative_geodesic_47(params, t)
+    return invariants(model, _spec(model).point_cls(mv)).as_tuple()
 
 
 def steer(model, target: Multivector, options: SteerOptions | None = None) -> SteerReport:
@@ -144,9 +108,9 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
     target does not define a usable flag (remedy: perturb the target).
     """
     model = _as_model(model)
+    spec = _spec(model)
     opts = options or SteerOptions()
-    target_point = wrap_point(model, target)
-    inv = invariants(model, target_point).as_tuple()
+    inv = invariants(model, spec.point_cls(target)).as_tuple()
 
     req = SolveRequest(
         model=model,
@@ -165,15 +129,15 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
         )
     chosen = result.solutions[0]  # minimal arrival time
     params = chosen.params
+    u = astuple(params)
 
     # flag degeneracy is an invariant condition, so the representative is
     # degenerate exactly when the target is; no fallback root would help
-    flag_fn = frame_flag_36 if model is Model.M36 else frame_flag_47
-    origin_end = _representative(model, params, params.t_final)
-    rotor = align_flags(flag_fn(origin_end.mv), flag_fn(target))
+    origin_end = spec.geodesic_mv(u, params.t_final)
+    rotor = align_flags(spec.flag(origin_end), spec.flag(target))
 
     times = np.linspace(0.0, params.t_final, opts.samples)
-    points = [sandwich(rotor, _representative(model, params, t).mv) for t in times]
+    points = [sandwich(rotor, spec.geodesic_mv(u, t)) for t in times]
     endpoint = points[-1]
     err = float(np.max(np.abs(endpoint.coeffs - target.coeffs)))
     if err > opts.acceptance_bound:
@@ -207,38 +171,20 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
 # report serialization and verification
 
 
-def _params_to_dict(model: Model, params) -> dict:
-    if model is Model.M36:
-        return {"K": params.K, "D": params.D, "C3": params.C3, "t_final": params.t_final}
-    return {
-        "K": params.K,
-        "C1": params.C1,
-        "C2": params.C2,
-        "C": params.C,
-        "t_final": params.t_final,
-    }
-
-
-def _params_from_dict(model: Model, d: dict):
-    if model is Model.M36:
-        return GeodesicParams36(K=d["K"], D=d["D"], C3=d["C3"], t_final=d["t_final"])
-    return GeodesicParams47(K=d["K"], C1=d["C1"], C2=d["C2"], C=d["C"], t_final=d["t_final"])
-
-
 def report_to_dict(report: SteerReport) -> dict:
     model = report.model
     traj = {"t": [float(t) for t in report.times]}
-    for name in coordinate_columns(model):
+    columns = coordinate_columns(model)
+    for name in columns:
         traj[name] = []
     for mv in report.points:
-        row = coordinate_row(model, mv)
-        for name, value in zip(coordinate_columns(model), row):
+        for name, value in zip(columns, coordinate_row(model, mv)):
             traj[name].append(float(value))
     return {
         "model": model.value,
         "target": point_to_blade_map(model, report.target),
         "invariants": [float(v) for v in report.invariants],
-        "params": _params_to_dict(model, report.params),
+        "params": asdict(report.params),
         "residual_norm": float(report.residual_norm),
         "rotor": [float(v) for v in report.rotor.coeffs],
         "trajectory": traj,
@@ -266,12 +212,12 @@ def verify_report(data: dict) -> tuple[bool, list[str]]:
         ok_all = ok_all and ok
 
     model = _as_model(data["model"])
-    dim = 3 if model is Model.M36 else 4
+    spec = _spec(model)
     target = point_from_blade_map(model, data["target"])
-    params = _params_from_dict(model, data["params"])
+    params = spec.params_cls(*(data["params"][name] for name in spec.param_names))
     bound = float(data["acceptance_bound"])
 
-    rotor_mv = Multivector(dim, np.asarray(data["rotor"], float))
+    rotor_mv = Multivector(spec.dim, np.asarray(data["rotor"], float))
     try:
         rotor = Rotor(rotor_mv, tol=1e-8)
         check("rotor-unitality", True, "R ~R = 1 within 1e-8")
@@ -288,7 +234,7 @@ def verify_report(data: dict) -> tuple[bool, list[str]]:
     check("invariant-match", inv_gap <= 1e-8, f"max gap {inv_gap:.3e}")
 
     if rotor is not None:
-        end = sandwich(rotor, _representative(model, params, params.t_final).mv)
+        end = sandwich(rotor, spec.geodesic_mv(astuple(params), params.t_final))
         err = float(np.max(np.abs(end.coeffs - target.coeffs)))
         check("endpoint-error", err <= bound, f"{err:.3e} vs bound {bound:.3e}")
     else:

@@ -23,6 +23,7 @@ from carnotga.cli import EXIT_DEGENERATE, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXI
 from conftest import (
     REF36_QO,
     REF36_TARGET,
+    REF47_INVARIANTS,
     REF47_TARGET,
     blades_to_mv,
     mv,
@@ -92,14 +93,19 @@ def test_point_from_blade_map_rejects_foreign_blades():
         point_from_blade_map(Model.M47, {"e23": 1.0})
     with pytest.raises(ValueError):
         point_from_blade_map(Model.M36, {"e123": 1.0})
+    with pytest.raises(ValueError):
+        point_from_blade_map(Model.M36, {"e1": "2"})
+    with pytest.raises(ValueError):
+        point_from_blade_map(Model.M47, {"e12": True})
 
 
-def test_report_roundtrip_and_verify(ref36_target):
-    report = steer(Model.M36, ref36_target, SteerOptions(samples=20))
-    data = report_to_dict(report)
-    ok, lines = verify_report(data)
-    assert ok, lines
-    assert len(lines) == 4
+def test_report_roundtrip_and_verify(ref36_target, ref47_target):
+    for model, target in ((Model.M36, ref36_target), (Model.M47, ref47_target)):
+        report = steer(model, target, SteerOptions(samples=20))
+        data = report_to_dict(report)
+        ok, lines = verify_report(data)
+        assert ok, lines
+        assert len(lines) == 4
 
 
 def test_verify_catches_corrupted_rotor(ref36_target):
@@ -150,6 +156,12 @@ def test_cli_invariants_36(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["model"] == "36"
     assert out["invariants"] == {"xx": 14.0, "zz": -9.0, "xz_star": 3.0}
+    path = _target_file(tmp_path, REF47_TARGET, "47")
+    assert main(["invariants", "--target", path]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["model"] == "47"
+    assert list(out["invariants"]) == ["x", "ll", "ly_e1", "yy"]
+    assert np.max(np.abs(np.array(list(out["invariants"].values())) - REF47_INVARIANTS)) < 1e-12
 
 
 def test_cli_invariants_origin(capsys):
@@ -184,50 +196,58 @@ def test_cli_verify_fails_on_tampered_report(tmp_path, capsys):
 
 
 def test_cli_csv_output(tmp_path):
-    target = _target_file(tmp_path, REF36_TARGET, "36")
-    csv_path = str(tmp_path / "traj.csv")
-    code = main(
-        [
-            "steer",
-            "--target",
-            target,
-            "--format",
-            "csv",
-            "--out",
-            csv_path,
-            "--samples",
-            "25",
-        ]
-    )
-    assert code == EXIT_OK
-    lines = open(csv_path).read().strip().splitlines()
-    assert lines[0] == "t,x1,x2,x3,z1,z2,z3"
-    assert len(lines) == 26
-    ts = [float(l.split(",")[0]) for l in lines[1:]]
-    assert ts[0] == 0.0 and all(b > a for a, b in zip(ts, ts[1:]))
+    for table, model, header in (
+        (REF36_TARGET, "36", "t,x1,x2,x3,z1,z2,z3"),
+        (REF47_TARGET, "47", "t,x,l1,l2,l3,y1,y2,y3"),
+    ):
+        target = _target_file(tmp_path, table, model)
+        csv_path = str(tmp_path / "traj.csv")
+        code = main(
+            [
+                "steer",
+                "--target",
+                target,
+                "--format",
+                "csv",
+                "--out",
+                csv_path,
+                "--samples",
+                "25",
+            ]
+        )
+        assert code == EXIT_OK
+        lines = open(csv_path).read().strip().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 26
+        ts = [float(l.split(",")[0]) for l in lines[1:]]
+        assert ts[0] == 0.0 and all(b > a for a, b in zip(ts, ts[1:]))
 
 
 def test_cli_emit_plot_data(tmp_path):
-    target = _target_file(tmp_path, REF47_TARGET, "47")
-    stem = str(tmp_path / "plot")
-    code = main(
-        [
-            "steer",
-            "--target",
-            target,
-            "--out",
-            str(tmp_path / "r.json"),
-            "--samples",
-            "20",
-            "--emit-plot-data",
-            stem,
-        ]
-    )
-    assert code == EXIT_OK
-    for suffix, cols in (("x", 2), ("l", 4), ("y", 4)):
-        lines = open(f"{stem}_{suffix}.csv").read().strip().splitlines()
-        assert len(lines) == 21
-        assert len(lines[0].split(",")) == cols
+    for table, model, files in (
+        (REF47_TARGET, "47", (("x", "t,x"), ("l", "t,l1,l2,l3"), ("y", "t,y1,y2,y3"))),
+        (REF36_TARGET, "36", (("x", "t,x1,x2,x3"), ("z", "t,z1,z2,z3"))),
+    ):
+        target = _target_file(tmp_path, table, model)
+        stem = str(tmp_path / f"plot{model}")
+        code = main(
+            [
+                "steer",
+                "--target",
+                target,
+                "--out",
+                str(tmp_path / "r.json"),
+                "--samples",
+                "20",
+                "--emit-plot-data",
+                stem,
+            ]
+        )
+        assert code == EXIT_OK
+        for suffix, header in files:
+            lines = open(f"{stem}_{suffix}.csv").read().strip().splitlines()
+            assert len(lines) == 21
+            assert lines[0] == header
 
 
 def test_cli_exit_infeasible(tmp_path):
@@ -252,6 +272,8 @@ def test_cli_exit_io_on_bad_input(tmp_path):
     assert (
         main(["invariants", "--target", '{"model":"36","point":{"e4":1}}']) == EXIT_IO
     )
+    assert main(["invariants", "--target", '{"model":"36","point":{"e1":"2"}}']) == EXIT_IO
+    assert main(["invariants", "--target", '{"model":"36","point":{"e12":true}}']) == EXIT_IO
     assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_IO
 
 
