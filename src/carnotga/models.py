@@ -23,6 +23,7 @@ the test suite.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -45,6 +46,9 @@ from .ga import (
 )
 
 _E1_4 = "e1"
+# the algebra names bound in this module, handed to the shared invariant
+# formulas (see _ga_invariants_36)
+_GA = sys.modules[__name__]
 
 
 class Model(str, Enum):
@@ -89,29 +93,21 @@ class Model36Point:
     @classmethod
     def from_parts(cls, x_coords, z_coeffs) -> "Model36Point":
         """Build from grade-1 coordinates and bivector coefficients (e12, e13, e23)."""
-        x = np.asarray(x_coords, float)
-        z = np.asarray(z_coeffs, float)
-        c = np.zeros(8)
-        c[1], c[2], c[4] = x
-        c[3], c[5], c[6] = z
-        return cls(Multivector(3, c))
+        return cls(_SPECS[Model.M36].mv(np.concatenate([x_coords, z_coeffs])))
 
     @property
     def x_coords(self) -> np.ndarray:
-        c = self.mv.coeffs
-        return np.array([c[1], c[2], c[4]])
+        return self.mv.coeffs[_SPECS[Model.M36].index[:3]]
 
     @property
     def z_coeffs(self) -> np.ndarray:
         """Bivector coefficients on (e12, e13, e23)."""
-        c = self.mv.coeffs
-        return np.array([c[3], c[5], c[6]])
+        return self.mv.coeffs[_SPECS[Model.M36].index[3:]]
 
     @property
     def z_vector(self) -> np.ndarray:
         """Classical vertical coordinates (z_1, z_2, z_3)."""
-        z12, z13, z23 = self.z_coeffs
-        return np.array([z23, -z13, z12])
+        return np.array(_SPECS[Model.M36].coordinates(self.mv)[3:])
 
 
 @dataclass(frozen=True)
@@ -140,11 +136,7 @@ class Model47Point:
 
     @classmethod
     def from_parts(cls, x: float, l_coords, y_coords) -> "Model47Point":
-        c = np.zeros(16)
-        c[1] = x
-        c[2], c[4], c[8] = np.asarray(l_coords, float)
-        c[3], c[5], c[9] = np.asarray(y_coords, float)
-        return cls(Multivector(4, c))
+        return cls(_SPECS[Model.M47].mv(np.concatenate([[x], l_coords, y_coords])))
 
     @property
     def x(self) -> float:
@@ -152,14 +144,12 @@ class Model47Point:
 
     @property
     def l_coords(self) -> np.ndarray:
-        c = self.mv.coeffs
-        return np.array([c[2], c[4], c[8]])
+        return self.mv.coeffs[_SPECS[Model.M47].index[1:4]]
 
     @property
     def y_coords(self) -> np.ndarray:
         """Bivector coefficients on (e12, e13, e14)."""
-        c = self.mv.coeffs
-        return np.array([c[3], c[5], c[9]])
+        return self.mv.coeffs[_SPECS[Model.M47].index[4:]]
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +366,12 @@ def _geodesic_raw_47(K: float, C1: float, C2: float, C: float, t: float) -> np.n
 
 def representative_geodesic_36(params: GeodesicParams36, t: float) -> Model36Point:
     """Closed-form moduli representative at time t, starting from the origin."""
-    v = _geodesic_raw_36(params.K, params.D, params.C3, t)
-    return Model36Point.from_parts(v[:3], v[3:])
+    return Model36Point(_SPECS[Model.M36].mv(_geodesic_raw_36(params.K, params.D, params.C3, t)))
 
 
 def representative_geodesic_47(params: GeodesicParams47, t: float) -> Model47Point:
-    v = _geodesic_raw_47(params.K, params.C1, params.C2, params.C, t)
-    return Model47Point.from_parts(v[0], v[1:4], v[4:])
+    raw = _geodesic_raw_47(params.K, params.C1, params.C2, params.C, t)
+    return Model47Point(_SPECS[Model.M47].mv(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -418,28 +407,33 @@ _I3 = pseudoscalar(3)
 _E1 = Multivector.basis_vector(4, 1)
 
 
-def _ga_invariants_36(mv: Multivector) -> tuple:
-    """(x.x, z.z, (x^z)*) of a dense G_3 element."""
-    x = grade_project(mv, 1)
-    z = grade_project(mv, 2)
+def _ga_invariants_36(mv: Multivector, ga) -> tuple:
+    """(x.x, z.z, (x^z)*) of a dense G_3 element.
+
+    ``ga`` is the module whose algebra names the formula calls: each caller
+    hands over its own, so a wrapper on a module's names (the benchmark's
+    tracer) counts the calls in the layer that makes them.
+    """
+    x = ga.grade_project(mv, 1)
+    z = ga.grade_project(mv, 2)
     return (
-        inner_product(x, x).scalar_part,
-        inner_product(z, z).scalar_part,
-        geometric_product(outer_product(x, z), _I3).scalar_part,
+        ga.inner_product(x, x).scalar_part,
+        ga.inner_product(z, z).scalar_part,
+        ga.geometric_product(ga.outer_product(x, z), _I3).scalar_part,
     )
 
 
-def _ga_invariants_47(mv: Multivector) -> tuple:
-    """(x, l.l, (l.y) e1, y.y) of a dense G_4 element."""
-    g1 = grade_project(mv, 1)
+def _ga_invariants_47(mv: Multivector, ga) -> tuple:
+    """(x, l.l, (l.y) e1, y.y) of a dense G_4 element; ``ga`` as above."""
+    g1 = ga.grade_project(mv, 1)
     xc = g1.coeff(_E1_4)
     lvec = g1 - Multivector.blade(4, _E1_4, xc)
-    y = grade_project(mv, 2)
+    y = ga.grade_project(mv, 2)
     return (
         xc,
-        inner_product(lvec, lvec).scalar_part,
-        geometric_product(inner_product(lvec, y), _E1).scalar_part,
-        inner_product(y, y).scalar_part,
+        ga.inner_product(lvec, lvec).scalar_part,
+        ga.geometric_product(ga.inner_product(lvec, y), _E1).scalar_part,
+        ga.inner_product(y, y).scalar_part,
     )
 
 
@@ -456,7 +450,7 @@ def invariants_47(point) -> Invariants47:
 def invariants(model, point):
     spec = _spec(model)
     mv = point.mv if isinstance(point, spec.point_cls) else point
-    return spec.invariants_cls(*spec.ga_invariants(mv))
+    return spec.invariants_cls(*spec.ga_invariants(mv, _GA))
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +603,13 @@ class _ModelSpec:
     params_cls: type
     invariants_cls: type
     geodesic_raw: Callable  # (*u[:-1], t) -> raw vector
-    ga_invariants: Callable  # dense Multivector -> invariant tuple
+    ga_invariants: Callable  # (dense Multivector, algebra module) -> invariant tuple
     level: Callable  # (*u[:-1]) -> arc-length level, 1 on unit-speed curves
     fold_abs: int  # sign fold: (K, u[2]) flip when K < 0, then u[fold_abs] -> |u[fold_abs]|
     t_floor: Callable  # invariants -> lower bound on the arrival time
     start: Callable  # (K column, t column, unit-cube draws) -> start vectors
-    flag: Callable
+    flag: Callable  # dense Multivector -> flag
+    geodesic: Callable  # (params, t) -> point on the representative curve
     fiber: Callable
     rk4_rhs: Callable  # (state, omega) -> d state / dt
     aligned_fiber: Callable  # params -> (kvec, fiber constants)
@@ -640,6 +635,11 @@ class _ModelSpec:
         c[self.index] = raw
         return Multivector(self.dim, c)
 
+    def coordinates(self, mv: Multivector) -> list:
+        """Classical coordinates of a dense element, in ``columns`` order."""
+        raw = mv.coeffs[self.index]
+        return [sign * raw[pos] for _, pos, sign in self.columns]
+
     def geodesic_mv(self, u, t) -> Multivector:
         """Representative curve of raw parameters u at time t."""
         return self.mv(self.geodesic_raw(*u[:-1], t))
@@ -662,6 +662,7 @@ _SPECS = {
         t_floor=lambda inv: np.sqrt(max(inv[0], 0.0)),
         start=_starts_36,
         flag=frame_flag_36,
+        geodesic=representative_geodesic_36,
         fiber=fiber_solution_36,
         rk4_rhs=_rk4_rhs_36,
         aligned_fiber=_aligned_fiber_36,
@@ -682,6 +683,7 @@ _SPECS = {
         t_floor=lambda inv: np.sqrt(max(inv[0] ** 2 + inv[1], 0.0)),
         start=_starts_47,
         flag=frame_flag_47,
+        geodesic=representative_geodesic_47,
         fiber=fiber_solution_47,
         rk4_rhs=_rk4_rhs_47,
         aligned_fiber=_aligned_fiber_47,

@@ -14,15 +14,21 @@ loop; it exists to validate the closed forms against an independent route.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import qmc
 
 from .errors import InfeasibleTarget
+from .ga import geometric_product, grade_project, inner_product, outer_product
 from .models import Model, _as_model, _spec, omega_matrix
 
 _BIG = 1e12
+# the invariant formulas of models call the algebra through the module they
+# are handed; the solver hands over this one, so the residual's algebra calls
+# go through the names imported above
+_GA = sys.modules[__name__]
 
 
 def _residual_raw(spec, u: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -32,7 +38,7 @@ def _residual_raw(spec, u: np.ndarray, target: np.ndarray) -> np.ndarray:
     vals = spec.geodesic_raw(*u)
     if not np.all(np.isfinite(vals)):
         return np.full(len(u), _BIG)
-    inv = np.array(spec.ga_invariants(spec.mv(vals)))
+    inv = np.array(spec.ga_invariants(spec.mv(vals), _GA))
     return np.concatenate([inv - target, [spec.level(*u[:-1]) - 1.0]])
 
 
@@ -187,7 +193,7 @@ def _orbit_signature(spec, u: np.ndarray) -> np.ndarray:
     t = u[-1]
     sig = [t]
     for frac in (0.25, 0.5, 0.75, 1.0):
-        sig.extend(spec.ga_invariants(spec.geodesic_mv(u, frac * t)))
+        sig.extend(spec.ga_invariants(spec.geodesic_mv(u, frac * t), _GA))
     return np.array(sig)
 
 
