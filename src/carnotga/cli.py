@@ -154,7 +154,7 @@ def _cmd_verify(args) -> int:
         raise _CliError(EXIT_IO, f"report is not valid JSON: {exc}")
     try:
         ok, lines = verify_report(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _CliError(EXIT_IO, f"report schema: {exc!r}")
     for line in lines:
         print(line)

@@ -186,18 +186,12 @@ class Multivector:
         """Grade-1 coordinates as a plain length-m array."""
         return np.array([self.coeffs[1 << i] for i in range(self.dim)])
 
-    def grade(self, r: int) -> "Multivector":
-        return grade_project(self, r)
-
     def grades_present(self, tol: float = 0.0) -> set[int]:
         tab = _tables(self.dim)
         return {int(g) for g, c in zip(tab.grades, self.coeffs) if abs(c) > tol}
 
     def norm(self) -> float:
         return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
-
-    def normalized(self) -> "Multivector":
-        return normalize(self)
 
     def coeff(self, name: str) -> float:
         return float(self.coeffs[blade_index(name)])
@@ -390,9 +384,6 @@ class Rotor:
 
     def apply(self, a: Multivector) -> Multivector:
         return sandwich(self, a)
-
-    def reversed(self) -> "Rotor":
-        return Rotor(reverse(self.mv))
 
     def __mul__(self, other):
         if isinstance(other, Rotor):

@@ -541,17 +541,14 @@ def invariant_closed_forms(model, params, t: float):
 
 def _starts_36(k0, t0, raw):
     theta = 0.1 + raw[:, 2] * (np.pi - 0.2)
-    return [np.array([k, np.sin(th), np.cos(th), t]) for k, t, th in zip(k0, t0, theta)]
+    return np.column_stack([k0, np.sin(theta), np.cos(theta), t0])
 
 
 def _starts_47(k0, t0, raw):
     alpha = 0.1 + raw[:, 2] * (np.pi - 0.2)
     psi = raw[:, 3] * 2.0 * np.pi
-    out = []
-    for k, t, al, ps in zip(k0, t0, alpha, psi):
-        r = np.sin(al) / k
-        out.append(np.array([k, r * np.cos(ps), r * np.sin(ps), np.cos(al), t]))
-    return out
+    r = np.sin(alpha) / k0
+    return np.column_stack([k0, r * np.cos(psi), r * np.sin(psi), np.cos(alpha), t0])
 
 
 def _rk4_rhs_36(s, omega):
@@ -607,7 +604,7 @@ class _ModelSpec:
     level: Callable  # (*u[:-1]) -> arc-length level, 1 on unit-speed curves
     fold_abs: int  # sign fold: (K, u[2]) flip when K < 0, then u[fold_abs] -> |u[fold_abs]|
     t_floor: Callable  # invariants -> lower bound on the arrival time
-    start: Callable  # (K column, t column, unit-cube draws) -> start vectors
+    start: Callable  # (K column, t column, unit-cube draws) -> (S, d) start rows
     flag: Callable  # dense Multivector -> flag
     geodesic: Callable  # (params, t) -> point on the representative curve
     fiber: Callable

@@ -18,13 +18,13 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import InfeasibleTarget
 from .ga import geometric_product, grade_project, inner_product, outer_product
 from .models import Model, _as_model, _spec, omega_matrix
 
 _BIG = 1e12
+_DEDUP_RADIUS = 1e-6  # roots this close in every raw parameter count as one
 # the invariant formulas of models call the algebra through the module they
 # are handed; the solver hands over this one, so the residual's algebra calls
 # go through the names imported above
@@ -133,14 +133,13 @@ class SolveRequest:
     max_starts: int = 64
     seed: int = 0
     early_stop: int | None = None
-    dedup_radius: float = 1e-6
 
     def __post_init__(self):
         self.model = _as_model(self.model)
         want = len(_spec(self.model).invariant_names)
         if len(self.target) != want:
             raise ValueError(f"model {self.model.value} takes {want} invariants")
-        if self.k_max <= 0 or self.t_max <= 0 or self.tolerance <= 0:
+        if not (self.k_max > 0 and self.t_max > 0 and self.tolerance > 0):
             raise ValueError("bounds and tolerance must be positive")
         if self.max_starts < 1:
             raise ValueError("max_starts must be at least 1")
@@ -163,9 +162,17 @@ class SolveResult:
     converged: int
 
 
-def _starts(req: SolveRequest, spec) -> list:
-    sampler = qmc.LatinHypercube(d=len(spec.param_names) - 1, seed=req.seed)
-    raw = sampler.random(req.max_starts)
+def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
+    """The draw of ``scipy.stats.qmc.LatinHypercube(d=d, seed=seed).random(n)``."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(n, d))
+    return (rng.permuted(np.tile(np.arange(1, n + 1), (d, 1)), axis=1).T - u) / n
+
+
+def _starts(req: SolveRequest, spec) -> np.ndarray:
+    """Newton starts, one per row: a scrambled Latin hypercube (McKay et al.
+    1979) over the search box, drawn in numpy so the package needs no scipy."""
+    raw = _latin_hypercube(req.max_starts, len(spec.param_names) - 1, req.seed)
     # unit-speed horizontal curves cannot beat the straight line, so the
     # arrival time is at least the horizontal displacement of the target
     t_lo = min(max(0.2, 0.999 * spec.t_floor(req.target)), 0.9 * req.t_max)
@@ -229,7 +236,7 @@ def solve(req: SolveRequest) -> SolveResult:
         rnorm = float(np.max(np.abs(res)))
         if rnorm > req.tolerance:
             continue
-        if any(np.max(np.abs(u - r[0])) <= req.dedup_radius for r in roots):
+        if any(np.max(np.abs(u - r[0])) <= _DEDUP_RADIUS for r in roots):
             continue
         sig = _orbit_signature(spec, u)
         scale = max(1.0, float(np.max(np.abs(sig))))

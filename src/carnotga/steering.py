@@ -40,6 +40,8 @@ class SteerOptions:
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError("at least two trajectory samples are required")
+        if not self.acceptance_bound > 0:
+            raise ValueError("acceptance bound must be positive")
 
 
 @dataclass
@@ -77,7 +79,10 @@ def point_from_blade_map(model, data: dict) -> Multivector:
             )
         if isinstance(value, bool) or not isinstance(value, Real):
             raise ValueError(f"coefficient of {key!r} must be a real number, got {value!r}")
-        c[blade_index(key)] = float(value)
+        try:
+            c[blade_index(key)] = float(value)
+        except OverflowError:
+            raise ValueError(f"coefficient of {key!r} does not fit a float") from None
     return Multivector(spec.dim, c)
 
 

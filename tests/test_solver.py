@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from carnotga import (
     GeodesicParams36,
@@ -21,6 +22,7 @@ from carnotga import (
     rk4_endpoint,
     solve,
 )
+from carnotga.solver import _latin_hypercube
 from conftest import REF36_CONSTANTS, REF36_INVARIANTS, REF47_CONSTANTS, REF47_INVARIANTS
 from test_models import params36, params47, random_params36, random_params47
 
@@ -155,8 +157,20 @@ def test_solve_infeasible_target_raises():
 def test_solve_request_validation():
     with pytest.raises(ValueError):
         SolveRequest(model=Model.M36, target=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        SolveRequest(model=Model.M36, target=(1.0, 2.0, 3.0), k_max=-1.0)
+    for bad in ({"k_max": -1.0}, {"k_max": np.nan}, {"t_max": np.nan}, {"tolerance": np.nan}):
+        with pytest.raises(ValueError):
+            SolveRequest(model=Model.M36, target=(1.0, 2.0, 3.0), **bad)
+
+
+def test_latin_hypercube_matches_scipy():
+    # the solver's starts are scipy's default scrambled Latin hypercube,
+    # drawn without scipy; scipy stays the reference byte for byte
+    for d in (3, 4):
+        for n in (1, 7, 64):
+            for seed in (0, 1, 11, 2021):
+                got = _latin_hypercube(n, d, seed)
+                want = qmc.LatinHypercube(d=d, seed=seed).random(n)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------

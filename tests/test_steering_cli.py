@@ -275,6 +275,16 @@ def test_cli_exit_io_on_bad_input(tmp_path):
     assert main(["invariants", "--target", '{"model":"36","point":{"e1":"2"}}']) == EXIT_IO
     assert main(["invariants", "--target", '{"model":"36","point":{"e12":true}}']) == EXIT_IO
     assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_IO
+    huge = "1" + "0" * 400
+    target = '{"model":"36","point":{"e1":%s}}' % huge
+    assert main(["invariants", "--target", target]) == EXIT_IO
+    for bound in ("nan", "-1"):
+        assert main(["steer", "--target", target.replace(huge, "2"), "--bound", bound]) == EXIT_IO
+    data = report_to_dict(steer(Model.M36, point_from_blade_map(Model.M36, REF36_TARGET), FAST))
+    data["acceptance_bound"] = int(huge)
+    report = tmp_path / "huge_bound.json"
+    report.write_text(json.dumps(data))
+    assert main(["verify", str(report)]) == EXIT_IO
 
 
 def test_cli_inline_json_and_module_entry(tmp_path):
@@ -286,6 +296,19 @@ def test_cli_inline_json_and_module_entry(tmp_path):
     )
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["invariants"]["xx"] == 14.0
+
+
+def test_cli_loads_no_scipy():
+    inline = json.dumps({"model": "36", "point": REF36_TARGET})
+    code = (
+        "import sys\n"
+        "import carnotga.cli\n"
+        f"assert carnotga.cli.main(['invariants', '--target', {inline!r}]) == 0\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_steer_deterministic_given_seed(tmp_path):
