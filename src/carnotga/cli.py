@@ -3,7 +3,8 @@
 Points travel as JSON objects {"model": "36"|"47", "point": {"e1": 2.0,
 "e12": 1.0, ...}} with blade-keyed coefficient maps.  Exit codes are a
 stable contract for scripting: 0 success, 1 verification failure, 2
-infeasible target, 3 degenerate configuration, 4 I/O or parse error.
+infeasible target, 3 degenerate configuration (and every other package
+error), 4 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import json
 import sys
 
-from .errors import DegenerateConfiguration, InfeasibleTarget
+from .errors import CarnotGAError, InfeasibleTarget
 from .models import Model, _spec
 from .steering import (
     SteerOptions,
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
     except InfeasibleTarget as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except DegenerateConfiguration as exc:
+    except CarnotGAError as exc:  # flag, rotor and normalization failures too
         print(
             f"degenerate configuration: {exc} (consider perturbing the target)",
             file=sys.stderr,

@@ -325,9 +325,10 @@ def _level_47(K, C1, C2, C):
     return K * K * (C1 * C1 + C2 * C2) + C * C
 
 
-def _geodesic_raw_36(K: float, D: float, C3: float, t: float) -> np.ndarray:
-    """Coefficients (x1, x2, x3, z12, z13, z23) of the representative curve."""
-    if K == 0.0:
+def _geodesic_raw_36(K, D, C3, t) -> np.ndarray:
+    """Coefficients (x1, x2, x3, z12, z13, z23) of the representative curve;
+    columns give one row each (the K = 0 line is taken for scalar K only)."""
+    if not isinstance(K, np.ndarray) and K == 0.0:
         return np.array([0.0, D * t, C3 * t, 0.0, 0.0, 0.0])
     s, c = np.sin(K * t), np.cos(K * t)
     kt = K * t
@@ -340,28 +341,30 @@ def _geodesic_raw_36(K: float, D: float, C3: float, t: float) -> np.ndarray:
             C3 * D / (2.0 * K * K) * (kt - 2.0 * s + kt * c),
             C3 * D / (2.0 * K * K) * (2.0 - kt * s - 2.0 * c),
         ]
-    )
+    ).T
 
 
-def _geodesic_raw_47(K: float, C1: float, C2: float, C: float, t: float) -> np.ndarray:
-    """Coefficients (x, l1, l2, l3, y12, y13, y14) of the representative curve."""
-    if K == 0.0:
+def _geodesic_raw_47(K, C1, C2, C, t) -> np.ndarray:
+    """Coefficients (x, l1, l2, l3, y12, y13, y14) of the representative curve;
+    scalars or columns as for the other model."""
+    if not isinstance(K, np.ndarray) and K == 0.0:
         return np.array([0.0, 0.0, C * t, 0.0, 0.0, 0.0, 0.0])
     s, c = np.sin(K * t), np.cos(K * t)
     kt = K * t
+    zero = kt - kt  # +0.0, scalar or column like the other entries
     return np.array(
         [
             C1 * c + C2 * s - C1,
             C1 * s - C2 * c + C2,
             C * t,
-            0.0,
+            zero,
             0.5 * (C1 * C1 + C2 * C2) * (kt - s),
             C
             / (2.0 * K)
             * ((2.0 * C1 - C2 * kt) * s - (C1 * kt + 2.0 * C2) * c + 2.0 * C2 - C1 * kt),
-            0.0,
+            zero,
         ]
-    )
+    ).T
 
 
 def representative_geodesic_36(params: GeodesicParams36, t: float) -> Model36Point:
@@ -434,6 +437,32 @@ def _ga_invariants_47(mv: Multivector, ga) -> tuple:
         ga.inner_product(lvec, lvec).scalar_part,
         ga.geometric_product(ga.inner_product(lvec, y), _E1).scalar_part,
         ga.inner_product(y, y).scalar_part,
+    )
+
+
+def _invariants_raw_36(raw: np.ndarray) -> np.ndarray:
+    """``_ga_invariants_36`` on raw rows, (n, 6) -> (n, 3): each sum runs in the
+    order the algebra kernel accumulates it, so the values agree bit for bit."""
+    x1, x2, x3, z12, z13, z23 = raw.T
+    return np.column_stack(
+        [
+            x1 * x1 + x2 * x2 + x3 * x3,
+            -(z12 * z12 + z13 * z13 + z23 * z23),
+            -(x1 * z23 - x2 * z13 + x3 * z12),
+        ]
+    )
+
+
+def _invariants_raw_47(raw: np.ndarray) -> np.ndarray:
+    """Closed forms of ``_ga_invariants_47`` on raw rows, (n, 7) -> (n, 4)."""
+    x, l1, l2, l3, y12, y13, y14 = raw.T
+    return np.column_stack(
+        [
+            x,
+            l1 * l1 + l2 * l2 + l3 * l3,
+            -(l1 * y12 + l2 * y13 + l3 * y14),
+            -(y12 * y12 + y13 * y13 + y14 * y14),
+        ]
     )
 
 
@@ -601,6 +630,7 @@ class _ModelSpec:
     invariants_cls: type
     geodesic_raw: Callable  # (*u[:-1], t) -> raw vector
     ga_invariants: Callable  # (dense Multivector, algebra module) -> invariant tuple
+    invariants_raw: Callable  # raw rows (n, len(blades)) -> (n, n_inv), ga_invariants bit for bit
     level: Callable  # (*u[:-1]) -> arc-length level, 1 on unit-speed curves
     fold_abs: int  # sign fold: (K, u[2]) flip when K < 0, then u[fold_abs] -> |u[fold_abs]|
     t_floor: Callable  # invariants -> lower bound on the arrival time
@@ -654,6 +684,7 @@ _SPECS = {
         invariants_cls=Invariants36,
         geodesic_raw=_geodesic_raw_36,
         ga_invariants=_ga_invariants_36,
+        invariants_raw=_invariants_raw_36,
         level=_level_36,
         fold_abs=1,
         t_floor=lambda inv: np.sqrt(max(inv[0], 0.0)),
@@ -675,6 +706,7 @@ _SPECS = {
         invariants_cls=Invariants47,
         geodesic_raw=_geodesic_raw_47,
         ga_invariants=_ga_invariants_47,
+        invariants_raw=_invariants_raw_47,
         level=_level_47,
         fold_abs=3,
         t_floor=lambda inv: np.sqrt(max(inv[0] ** 2 + inv[1], 0.0)),

@@ -25,21 +25,23 @@ from .models import Model, _as_model, _spec, omega_matrix
 
 _BIG = 1e12
 _DEDUP_RADIUS = 1e-6  # roots this close in every raw parameter count as one
+_HALVINGS = 0.5 ** np.arange(21)  # line-search step sizes 1 down to 2^-20
 # the invariant formulas of models call the algebra through the module they
-# are handed; the solver hands over this one, so the residual's algebra calls
-# go through the names imported above
+# are handed; the solver hands over this one, so the orbit signatures' algebra
+# calls go through the names imported above
 _GA = sys.modules[__name__]
 
 
-def _residual_raw(spec, u: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Invariant mismatch plus level-set defect at a raw parameter vector."""
-    if abs(u[0]) < 1e-10:
-        return np.full(len(u), _BIG)
-    vals = spec.geodesic_raw(*u)
-    if not np.all(np.isfinite(vals)):
-        return np.full(len(u), _BIG)
-    inv = np.array(spec.ga_invariants(spec.mv(vals), _GA))
-    return np.concatenate([inv - target, [spec.level(*u[:-1]) - 1.0]])
+def _residual_rows(spec, U: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Invariant mismatch plus level-set defect, one row per raw parameter row,
+    from the closed-form invariants (``spec.ga_invariants`` is their reference).
+    Rows with |K| < 1e-10 or a non-finite curve point get the value _BIG."""
+    cols = U.T
+    with np.errstate(all="ignore"):
+        vals = spec.geodesic_raw(*cols)
+        out = np.column_stack([spec.invariants_raw(vals) - target, spec.level(*cols[:-1]) - 1.0])
+    out[(np.abs(cols[0]) < 1e-10) | ~np.all(np.isfinite(vals), axis=1)] = _BIG
+    return out
 
 
 def residual(model, params, t: float, target) -> np.ndarray:
@@ -51,49 +53,51 @@ def residual(model, params, t: float, target) -> np.ndarray:
     n = len(spec.invariant_names)
     if target.shape != (n,):
         raise ValueError(f"target for this model has {n} invariants")
-    return _residual_raw(spec, u, target)
+    return _residual_rows(spec, u[None], target)[0]
 
 
 def _line_search(f, u, fu, step):
-    """Halving line search on the residual norm, down to 2^-20."""
+    """Halving line search on the residual norm, down to 2^-20: all step sizes
+    are evaluated in one call, and the first that passes the Armijo test wins."""
     base = np.linalg.norm(fu)
-    lam = 1.0
-    while lam >= 2.0**-20:
-        cand = u + lam * step
-        fc = f(cand)
+    cands = u + _HALVINGS[:, None] * step
+    fcs = f(cands)
+    for lam, cand, fc in zip(_HALVINGS, cands, fcs):
         if np.linalg.norm(fc) < (1.0 - 1e-4 * lam) * base:
             return cand, fc, True
-        lam *= 0.5
     return u, fu, False
 
 
 def _newton(f, u0: np.ndarray, max_iter: int = 50, tol: float = 1e-10):
     """Damped Newton with central-difference Jacobian and halving line search.
 
-    Near folds of the invariant map the Jacobian turns singular and the pure
-    Newton direction stalls; a Levenberg-style regularized step is tried
-    before giving up on an iteration.
+    ``f`` maps parameter rows (n, d) to residual rows; the 2d stencil points
+    go to it in one call.  Near folds of the invariant map the Jacobian turns
+    singular and the pure Newton direction stalls; a Levenberg-style
+    regularized step is tried before giving up on an iteration.  Returns
+    (u, f(u), converged, Jacobian evaluations).
     """
     u = np.asarray(u0, float)
-    fu = f(u)
-    for _ in range(max_iter):
+    fu = f(u[None])[0]
+    d = len(u)
+    diag_idx = np.arange(d)
+    for it in range(max_iter):
         if np.max(np.abs(fu)) < tol:
-            return u, fu, True
-        d = len(u)
-        jac = np.empty((d, d))
-        for j in range(d):
-            h = 1e-7 * max(1.0, abs(u[j]))
-            up = u.copy()
-            up[j] += h
-            um = u.copy()
-            um[j] -= h
-            jac[:, j] = (f(up) - f(um)) / (2.0 * h)
+            return u, fu, True, it
+        h = 1e-7 * np.maximum(1.0, np.abs(u))
+        stencil = np.tile(u, (2 * d, 1))
+        stencil[diag_idx, diag_idx] += h
+        stencil[d + diag_idx, diag_idx] -= h
+        fs = f(stencil)
+        # row j of the difference is column j of the Jacobian; copied C-contiguous
+        # because a transposed view sends jac.T @ jac down another BLAS path
+        jac = np.ascontiguousarray(((fs[:d] - fs[d:]) / (2.0 * h)[:, None]).T)
         try:
             step = np.linalg.solve(jac, -fu)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, -fu, rcond=None)
         if not np.all(np.isfinite(step)):
-            return u, fu, False
+            return u, fu, False, it + 1
         u, fu, moved = _line_search(f, u, fu, step)
         if not moved:
             jtj = jac.T @ jac
@@ -111,7 +115,7 @@ def _newton(f, u0: np.ndarray, max_iter: int = 50, tol: float = 1e-10):
                     break
         if not moved:
             break
-    return u, fu, bool(np.max(np.abs(fu)) < tol)
+    return u, fu, bool(np.max(np.abs(fu)) < tol), it + 1
 
 
 @dataclass
@@ -157,9 +161,15 @@ class SolveSolution:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Accepted roots plus the work spent: ``residual_rows`` counts every
+    parameter row the residual was evaluated on, ``newton_iterations`` the
+    Jacobian evaluations over all starts."""
+
     solutions: tuple
     starts_attempted: int
     converged: int
+    residual_rows: int
+    newton_iterations: int
 
 
 def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
@@ -215,16 +225,22 @@ def solve(req: SolveRequest) -> SolveResult:
     spec = _spec(req.model)
     target = np.asarray(req.target, float)
 
-    def f(u):
-        return _residual_raw(spec, u, target)
+    rows = 0  # residual rows evaluated, over all starts
+
+    def f(U):
+        nonlocal rows
+        rows += len(U)
+        return _residual_rows(spec, U, target)
 
     roots = []
     signatures = []
     converged = 0
     attempted = 0
+    iterations = 0
     for u0 in _starts(req, spec):
         attempted += 1
-        u, fu, ok = _newton(f, u0)
+        u, fu, ok, its = _newton(f, u0)
+        iterations += its
         if not ok:
             continue
         converged += 1
@@ -232,7 +248,7 @@ def solve(req: SolveRequest) -> SolveResult:
         k, t = u[0], u[-1]
         if not (0.0 < k <= req.k_max and 0.0 < t <= req.t_max):
             continue
-        res = f(u)
+        res = f(u[None])[0]
         rnorm = float(np.max(np.abs(res)))
         if rnorm > req.tolerance:
             continue
@@ -258,7 +274,7 @@ def solve(req: SolveRequest) -> SolveResult:
         SolveSolution(params=spec.params_cls(*(float(v) for v in u)), residual_norm=rnorm)
         for u, rnorm in roots
     ]
-    return SolveResult(solutions=tuple(sols), starts_attempted=attempted, converged=converged)
+    return SolveResult(tuple(sols), attempted, converged, rows, iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,8 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
             "starts_attempted": result.starts_attempted,
             "converged": result.converged,
             "roots": len(result.solutions),
+            "residual_rows": result.residual_rows,
+            "newton_iterations": result.newton_iterations,
             "seed": opts.seed,
             "tolerance": opts.tolerance,
         },
@@ -213,7 +215,8 @@ def verify_report(data: dict) -> tuple[bool, list[str]]:
     Returns (all_passed, per-check lines).  Checks: rotor unitality, the
     arc-length level condition of the solved constants, the invariant match
     between the stored tuple and the stored target, and the endpoint error
-    recomputed from scratch against the acceptance bound.
+    recomputed from scratch against the acceptance bound.  The report's own
+    bound may tighten the default one but never loosen it.
     """
     lines = []
     ok_all = True
@@ -227,7 +230,7 @@ def verify_report(data: dict) -> tuple[bool, list[str]]:
     spec = _spec(model)
     target = point_from_blade_map(model, data["target"])
     params = spec.params_cls(*(data["params"][name] for name in spec.param_names))
-    bound = float(data["acceptance_bound"])
+    bound = min(float(data["acceptance_bound"]), SteerOptions().acceptance_bound)
 
     rotor_mv = Multivector(spec.dim, np.asarray(data["rotor"], float))
     try:

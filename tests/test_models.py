@@ -22,6 +22,7 @@ from carnotga import (
     group_product_36,
     group_product_47,
     invariant_closed_forms,
+    invariants,
     invariants_36,
     invariants_47,
     normalize,
@@ -32,7 +33,7 @@ from carnotga import (
     sandwich,
     so3_action,
 )
-from carnotga.models import _geodesic_raw_36, _geodesic_raw_47
+from carnotga.models import _geodesic_raw_36, _geodesic_raw_47, _spec
 from conftest import (
     REF36_CONSTANTS,
     REF36_QO,
@@ -381,6 +382,26 @@ def test_invariants_47_reference_exact(ref47_target):
 def test_invariants_at_origin():
     assert invariants_36(Model36Point.origin()).as_tuple() == (0.0, 0.0, 0.0)
     assert invariants_47(Model47Point.origin()).as_tuple() == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_invariants_raw_equal_algebra_bit_for_bit(rng):
+    # the solver's closed forms against the algebra evaluation they replace
+    for model in Model:
+        spec = _spec(model)
+        raw = rng.uniform(-3.0, 3.0, size=(2000, len(spec.blades)))
+        got = spec.invariants_raw(raw)
+        want = np.array([invariants(model, spec.mv(r)).as_tuple() for r in raw])
+        assert got.shape == want.shape
+        assert np.all(got == want)
+
+
+def test_geodesic_raw_rows_equal_scalar_calls(rng):
+    for geodesic_raw, d in ((_geodesic_raw_36, 4), (_geodesic_raw_47, 5)):
+        U = rng.uniform(-3.0, 3.0, size=(200, d))
+        rows = geodesic_raw(*U.T)
+        want = np.array([geodesic_raw(*u) for u in U])
+        assert rows.shape == want.shape
+        assert rows.tobytes() == want.tobytes()
 
 
 def test_invariants_36_rotation_invariance(rng):

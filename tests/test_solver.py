@@ -2,6 +2,8 @@
 roots, round trips, determinism, and the RK4 oracle."""
 
 import time
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from carnotga import (
     rk4_endpoint,
     solve,
 )
-from carnotga.solver import _latin_hypercube
+from carnotga.models import _spec, invariants
+from carnotga.solver import _BIG, _latin_hypercube, _residual_rows
 from conftest import REF36_CONSTANTS, REF36_INVARIANTS, REF47_CONSTANTS, REF47_INVARIANTS
 from test_models import params36, params47, random_params36, random_params47
 
@@ -62,8 +65,62 @@ def test_residual_validates_target_shape():
         residual(Model.M36, params36(), 1.0, (1.0, 2.0))
 
 
+def test_residual_rows_stack_equals_single_rows(rng):
+    for model in Model:
+        spec = _spec(model)
+        U = rng.uniform(-3.0, 3.0, size=(64, len(spec.param_names)))
+        U[::7, 0] = 0.0  # |K| below the guard
+        U[3, 0], U[3, -1] = 2.0, 1e308  # K t overflows: non-finite curve point
+        target = rng.uniform(-5.0, 5.0, size=len(spec.invariant_names))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # guarded rows raise no warnings
+            rows = _residual_rows(spec, U, target)
+            singles = np.array([_residual_rows(spec, u[None], target)[0] for u in U])
+        assert rows.tobytes() == singles.tobytes()
+        guarded = np.zeros(len(U), bool)
+        guarded[::7] = guarded[3] = True
+        assert np.all(rows[guarded] == _BIG)
+        # the algebra evaluation stays the reference of the closed forms
+        for u, row in zip(U[~guarded], rows[~guarded]):
+            inv = invariants(model, spec.geodesic_mv(u, u[-1])).as_tuple()
+            assert np.all(row[:-1] == np.array(inv) - target)
+            assert row[-1] == spec.level(*u[:-1]) - 1.0
+
+
 # --------------------------------------------------------------------------
 # solve
+
+
+def test_reference_solves_golden():
+    # counts and roots of the reference solves at the default seed, as the
+    # per-start Newton loop with scalar residuals found them; bits beyond
+    # 1e-12 follow the platform's libm and LAPACK
+    cases = (
+        (Model.M36, REF36_INVARIANTS, 27, [
+            GeodesicParams36(K=0.9885730720302317, D=0.6885102270518171,
+                             C3=0.725226631643554, t_final=5.023644821636999),
+        ]),
+        (Model.M47, REF47_INVARIANTS, 12, [
+            GeodesicParams47(K=0.8357905887916619, C1=-0.7815971269293542,
+                             C2=-0.5323519008614755, C=0.6126137060458265,
+                             t_final=6.074809369775649),
+            GeodesicParams47(K=1.2495276031101614, C1=-0.6890452592237009,
+                             C2=0.19909800363182134, C=0.4436449900949563,
+                             t_final=8.215794421068876),
+        ]),
+    )
+    for model, target, converged, roots in cases:
+        result = solve(SolveRequest(model=model, target=target))
+        assert (result.starts_attempted, result.converged, len(result.solutions)) == (
+            64, converged, len(roots))
+        for sol, want in zip(result.solutions, roots):
+            np.testing.assert_allclose(astuple(sol.params), astuple(want), rtol=1e-12, atol=0)
+        # one row per start, then a 2d-row stencil per Newton iteration
+        d = len(astuple(roots[0]))
+        assert result.newton_iterations >= converged
+        assert result.residual_rows >= 64 + result.newton_iterations * 2 * d
+
+
 
 
 def test_solve_reference_case_36():

@@ -8,12 +8,18 @@ import numpy as np
 import pytest
 
 from carnotga import (
+    AntipodalVectors,
     DegenerateConfiguration,
+    DependentVectors,
+    FlagMismatch,
     Model,
     Multivector,
+    NearZeroNorm,
+    RotorDomain,
     SteerOptions,
     compute_invariants,
     point_from_blade_map,
+    point_to_blade_map,
     report_to_dict,
     sandwich,
     steer,
@@ -106,6 +112,8 @@ def test_report_roundtrip_and_verify(ref36_target, ref47_target):
         ok, lines = verify_report(data)
         assert ok, lines
         assert len(lines) == 4
+        diag = data["diagnostics"]
+        assert diag["residual_rows"] > diag["newton_iterations"] > 0
 
 
 def test_verify_catches_corrupted_rotor(ref36_target):
@@ -195,6 +203,21 @@ def test_cli_verify_fails_on_tampered_report(tmp_path, capsys):
     assert main(["verify", report_path]) == EXIT_VERIFY_FAILED
 
 
+def test_cli_verify_ignores_inflated_bound(tmp_path, capsys):
+    # a half-turn about e3 keeps the invariants but moves the target; a report
+    # cannot hide the miss by raising its own bound
+    data = report_to_dict(steer(Model.M36, point_from_blade_map(Model.M36, REF36_TARGET), FAST))
+    turned = sandwich(mv(3, e12=1.0), point_from_blade_map(Model.M36, data["target"]))
+    data["target"] = point_to_blade_map(Model.M36, turned)
+    data["acceptance_bound"] = 1e300
+    report = tmp_path / "inflated.json"
+    report.write_text(json.dumps(data))
+    assert main(["verify", str(report)]) == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert "PASS invariant-match" in out
+    assert "FAIL endpoint-error" in out and "vs bound 5.000e-02" in out
+
+
 def test_cli_csv_output(tmp_path):
     for table, model, header in (
         (REF36_TARGET, "36", "t,x1,x2,x3,z1,z2,z3"),
@@ -259,6 +282,19 @@ def test_cli_exit_infeasible(tmp_path):
 def test_cli_exit_degenerate(tmp_path):
     bad = _target_file(tmp_path, {"e1": 1.0, "e2": 2.0}, "36")  # no bivector part
     assert main(["steer", "--target", bad]) == EXIT_DEGENERATE
+
+
+def test_cli_maps_every_package_error(tmp_path, monkeypatch, capsys):
+    target = _target_file(tmp_path, REF36_TARGET, "36")
+    for error in (FlagMismatch, NearZeroNorm, AntipodalVectors, DependentVectors, RotorDomain):
+        def fail(*args, error=error, **kwargs):
+            raise error("raised for the test")
+
+        monkeypatch.setattr("carnotga.cli.steer", fail)
+        assert main(["steer", "--target", target]) == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert err.startswith("degenerate configuration: raised for the test")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_exit_io_on_bad_input(tmp_path):
