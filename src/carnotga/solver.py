@@ -26,6 +26,17 @@ from .models import Model, _as_model, _spec, omega_matrix
 _BIG = 1e12
 _DEDUP_RADIUS = 1e-6  # roots this close in every raw parameter count as one
 _HALVINGS = 0.5 ** np.arange(21)  # line-search step sizes 1 down to 2^-20
+# starts per Newton batch under early_stop: a pass over the benchmark's 48
+# round-trip targets took 1.2 s with blocks of 4, 1.3 s with 2, 1.5 s with
+# one start, 1.6 s with 8 and 3.9 s with all 64 (2-vCPU VM)
+_BLOCK = 4
+# starts per Newton batch without early_stop; a batch holds about 5 KB per
+# start, so this bounds the memory of a solve with many starts
+_BATCH = 1024
+# what became of each start: accepted, the filter that rejected it, or not
+# scanned after an early stop
+_OUTCOMES = ("accepted", "not_converged", "out_of_bounds", "over_tolerance",
+             "duplicate_params", "duplicate_orbit", "not_scanned")
 # the invariant formulas of models call the algebra through the module they
 # are handed; the solver hands over this one, so the orbit signatures' algebra
 # calls go through the names imported above
@@ -56,66 +67,111 @@ def residual(model, params, t: float, target) -> np.ndarray:
     return _residual_rows(spec, u[None], target)[0]
 
 
-def _line_search(f, u, fu, step):
-    """Halving line search on the residual norm, down to 2^-20: all step sizes
-    are evaluated in one call, and the first that passes the Armijo test wins."""
-    base = np.linalg.norm(fu)
-    cands = u + _HALVINGS[:, None] * step
-    fcs = f(cands)
-    for lam, cand, fc in zip(_HALVINGS, cands, fcs):
-        if np.linalg.norm(fc) < (1.0 - 1e-4 * lam) * base:
-            return cand, fc, True
-    return u, fu, False
+def _norms(F: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row along the last axis; matmul sums every row
+    as ``np.linalg.norm`` sums a single vector (``axis=`` sums in another order)."""
+    return np.sqrt((F[..., None, :] @ F[..., :, None])[..., 0, 0])
 
 
-def _newton(f, u0: np.ndarray, max_iter: int = 50, tol: float = 1e-10):
-    """Damped Newton with central-difference Jacobian and halving line search.
+def _line_search(f, U, FU, steps):
+    """Halving line search on each row's residual norm, down to 2^-20: every
+    step size of every row goes to ``f`` in one call, and per row the first
+    step size that passes the Armijo test wins.  Returns (U, FU, moved); rows
+    that did not move come back unchanged."""
+    n, d = U.shape
+    cands = U[:, None, :] + _HALVINGS[:, None] * steps[:, None, :]
+    fcs = f(cands.reshape(-1, d)).reshape(n, len(_HALVINGS), FU.shape[1])
+    passed = _norms(fcs) < (1.0 - 1e-4 * _HALVINGS) * _norms(FU)[:, None]
+    moved = passed.any(axis=1)
+    rows = np.flatnonzero(moved)
+    first = passed.argmax(axis=1)[rows]
+    U, FU = U.copy(), FU.copy()
+    U[rows], FU[rows] = cands[rows, first], fcs[rows, first]
+    return U, FU, moved
 
-    ``f`` maps parameter rows (n, d) to residual rows; the 2d stencil points
-    go to it in one call.  Near folds of the invariant map the Jacobian turns
+
+def _solve_rows(A: np.ndarray, b: np.ndarray, lstsq: bool) -> np.ndarray:
+    """Solve A[i] x = b[i] for every row in one batched call.  A batched solve
+    fails as a whole if one matrix is singular; then each row is solved on its
+    own, and a singular row gets its least-squares solution if ``lstsq``,
+    else NaN."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(b, np.nan)
+        for i, (a, v) in enumerate(zip(A, b)):
+            try:
+                out[i] = np.linalg.solve(a, v)
+            except np.linalg.LinAlgError:
+                if lstsq:
+                    out[i] = np.linalg.lstsq(a, v, rcond=None)[0]
+        return out
+
+
+def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10):
+    """Damped Newton with central-difference Jacobian and halving line search,
+    run on a stack of starts ``(S, d)`` at once with per-start active masks.
+
+    ``f`` maps parameter rows (n, d) to residual rows; each iteration hands
+    it the 2d-point stencils of all active starts in one call and their line
+    searches in one more.  Near folds of the invariant map the Jacobian turns
     singular and the pure Newton direction stalls; a Levenberg-style
-    regularized step is tried before giving up on an iteration.  Returns
-    (u, f(u), converged, Jacobian evaluations).
+    regularized step is tried before a start gives up.  A start also stops
+    on a non-finite Newton step.  Starts never mix, so a stack returns the
+    bits its rows return one at a time.  Returns (U, f(U), converged,
+    Jacobian evaluations), one entry per start.
     """
-    u = np.asarray(u0, float)
-    fu = f(u[None])[0]
-    d = len(u)
+    U = np.array(U0, float)
+    FU = f(U)
+    S, d = U.shape
     diag_idx = np.arange(d)
+    its = np.zeros(S, int)
+    active = np.ones(S, bool)
     for it in range(max_iter):
-        if np.max(np.abs(fu)) < tol:
-            return u, fu, True, it
+        active &= ~(np.max(np.abs(FU), axis=1) < tol)
+        rows = np.flatnonzero(active)
+        if not len(rows):
+            break
+        its[rows] = it + 1
+        u, fu = U[rows], FU[rows]
         h = 1e-7 * np.maximum(1.0, np.abs(u))
-        stencil = np.tile(u, (2 * d, 1))
-        stencil[diag_idx, diag_idx] += h
-        stencil[d + diag_idx, diag_idx] -= h
-        fs = f(stencil)
+        stencil = np.repeat(u[:, None, :], 2 * d, axis=1)
+        stencil[:, diag_idx, diag_idx] += h
+        stencil[:, d + diag_idx, diag_idx] -= h
+        fs = f(stencil.reshape(-1, d)).reshape(len(rows), 2 * d, fu.shape[1])
         # row j of the difference is column j of the Jacobian; copied C-contiguous
         # because a transposed view sends jac.T @ jac down another BLAS path
-        jac = np.ascontiguousarray(((fs[:d] - fs[d:]) / (2.0 * h)[:, None]).T)
-        try:
-            step = np.linalg.solve(jac, -fu)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, -fu, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return u, fu, False, it + 1
+        jac = np.ascontiguousarray(
+            ((fs[:, :d] - fs[:, d:]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1))
+        step = _solve_rows(jac, -fu, lstsq=True)
+        finite = np.all(np.isfinite(step), axis=1)
+        active[rows[~finite]] = False
+        rows, u, fu, jac, step = rows[finite], u[finite], fu[finite], jac[finite], step[finite]
         u, fu, moved = _line_search(f, u, fu, step)
-        if not moved:
-            jtj = jac.T @ jac
-            jtf = jac.T @ fu
-            diag = np.diag(np.maximum(np.diag(jtj), 1e-12))
+        stuck = np.flatnonzero(~moved)
+        if len(stuck):
+            jac = jac[stuck]
+            jtj = np.swapaxes(jac, 1, 2) @ jac
+            jtf = (np.swapaxes(jac, 1, 2) @ fu[stuck, :, None])[..., 0]
+            diag = np.zeros_like(jtj)
+            diag[:, diag_idx, diag_idx] = np.maximum(np.diagonal(jtj, axis1=1, axis2=2), 1e-12)
+            left = np.ones(len(stuck), bool)
             for mu in (1e-8, 1e-4, 1e-2, 1.0, 1e2):
-                try:
-                    step = np.linalg.solve(jtj + mu * diag, -jtf)
-                except np.linalg.LinAlgError:
+                cand = np.flatnonzero(left)
+                step = _solve_rows(jtj[cand] + mu * diag[cand], -jtf[cand], lstsq=False)
+                usable = np.all(np.isfinite(step), axis=1)
+                cand, step = cand[usable], step[usable]
+                if not len(cand):
                     continue
-                if not np.all(np.isfinite(step)):
-                    continue
-                u, fu, moved = _line_search(f, u, fu, step)
-                if moved:
+                at = stuck[cand]
+                u[at], fu[at], hit = _line_search(f, u[at], fu[at], step)
+                left[cand[hit]] = False
+                if not left.any():
                     break
-        if not moved:
-            break
-    return u, fu, bool(np.max(np.abs(fu)) < tol), it + 1
+            moved[stuck[~left]] = True
+        U[rows], FU[rows] = u, fu
+        active[rows[~moved]] = False
+    return U, FU, np.max(np.abs(FU), axis=1) < tol, its
 
 
 @dataclass
@@ -125,8 +181,12 @@ class SolveRequest:
     ``target`` is the invariant tuple of the steering target; bounds confine
     the frequency K to (0, k_max] and the arrival time to (0, t_max].
     ``tolerance`` bounds the forward-checked residual of accepted roots.
-    ``early_stop`` optionally ends the multistart scan once that many
-    distinct roots were accepted (a speed knob; results stay deterministic).
+    ``early_stop`` (None or at least 1) ends the scan of the starts, taken
+    in their fixed order, once that many distinct roots were accepted; the
+    roots then depend only on the seed.  Newton runs the starts in blocks of
+    ``_BLOCK`` under it, so the work counted includes the starts of the last
+    block after the stopping one.  Without it up to ``_BATCH`` starts run as
+    one batch.
     """
 
     model: Model
@@ -147,6 +207,8 @@ class SolveRequest:
             raise ValueError("bounds and tolerance must be positive")
         if self.max_starts < 1:
             raise ValueError("max_starts must be at least 1")
+        if self.early_stop is not None and self.early_stop < 1:
+            raise ValueError("early_stop must be None or at least 1")
 
 
 @dataclass(frozen=True)
@@ -163,13 +225,16 @@ class SolveSolution:
 class SolveResult:
     """Accepted roots plus the work spent: ``residual_rows`` counts every
     parameter row the residual was evaluated on, ``newton_iterations`` the
-    Jacobian evaluations over all starts."""
+    Jacobian evaluations over all starts.  ``start_outcomes`` counts the
+    starts by what became of them (keys ``_OUTCOMES``); they sum to
+    ``max_starts``."""
 
     solutions: tuple
     starts_attempted: int
     converged: int
     residual_rows: int
     newton_iterations: int
+    start_outcomes: dict
 
 
 def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
@@ -214,59 +279,81 @@ def _orbit_signature(spec, u: np.ndarray) -> np.ndarray:
     return np.array(sig)
 
 
+def _outcome_text(outcomes: dict) -> str:
+    return "start outcomes: " + ", ".join(f"{k} {v}" for k, v in outcomes.items())
+
+
 def solve(req: SolveRequest) -> SolveResult:
     """Multistart damped Newton over the bounded parameter box.
 
-    Accepted roots are canonicalized, forward-checked against the target
-    (independently of the Newton residual), deduplicated both by parameter
-    distance and by invariant-curve signature, and sorted by arrival time.
-    Raises InfeasibleTarget when no start converges at all.
+    The starts run through one batched Newton: up to ``_BATCH`` at once, or
+    in blocks of ``_BLOCK`` under ``early_stop``.  Then they are scanned in
+    their original order.  Converged roots are canonicalized, forward-checked
+    against the target (independently of the Newton residual), deduplicated
+    both by parameter distance and by invariant-curve signature, and sorted
+    by arrival time.  Raises InfeasibleTarget when no start converges at all.
     """
     spec = _spec(req.model)
     target = np.asarray(req.target, float)
+    starts = _starts(req, spec)
+    # an exhaustive scan needs every start, so they run in batches as large as
+    # memory allows; under early_stop small blocks keep the work spent past the
+    # last root small
+    block = _BATCH if req.early_stop is None else _BLOCK
 
     rows = 0  # residual rows evaluated, over all starts
+    iterations = 0
 
     def f(U):
         nonlocal rows
         rows += len(U)
         return _residual_rows(spec, U, target)
 
+    def newton_starts():
+        nonlocal iterations
+        for lo in range(0, len(starts), block):
+            U, _, ok, its = _newton(f, starts[lo:lo + block])
+            iterations += int(its.sum())
+            yield from zip(U, ok)
+
     roots = []
     signatures = []
-    converged = 0
-    attempted = 0
-    iterations = 0
-    for u0 in _starts(req, spec):
-        attempted += 1
-        u, fu, ok, its = _newton(f, u0)
-        iterations += its
+
+    def screen(u, ok) -> str:
+        """The outcome of one start; an accepted root is kept."""
         if not ok:
-            continue
-        converged += 1
+            return "not_converged"
         u = _canonicalize(spec, u)
         k, t = u[0], u[-1]
         if not (0.0 < k <= req.k_max and 0.0 < t <= req.t_max):
-            continue
+            return "out_of_bounds"
         res = f(u[None])[0]
         rnorm = float(np.max(np.abs(res)))
         if rnorm > req.tolerance:
-            continue
+            return "over_tolerance"
         if any(np.max(np.abs(u - r[0])) <= _DEDUP_RADIUS for r in roots):
-            continue
+            return "duplicate_params"
         sig = _orbit_signature(spec, u)
         scale = max(1.0, float(np.max(np.abs(sig))))
         if any(np.max(np.abs(sig - s)) <= 1e-6 * scale for s in signatures):
-            continue
+            return "duplicate_orbit"
         roots.append((u, rnorm))
         signatures.append(sig)
+        return "accepted"
+
+    outcomes = dict.fromkeys(_OUTCOMES, 0)
+    for u, ok in newton_starts():
+        outcomes[screen(u, ok)] += 1
         if req.early_stop is not None and len(roots) >= req.early_stop:
             break
+    attempted = sum(outcomes.values())
+    outcomes["not_scanned"] = len(starts) - attempted
+    converged = attempted - outcomes["not_converged"]
 
     if converged == 0:
         raise InfeasibleTarget(
             "no start converged; the target may be outside the sampled "
-            "reachable set or the bounds too tight"
+            f"reachable set or the bounds too tight ({_outcome_text(outcomes)})"
         )
 
     roots.sort(key=lambda r: r[0][-1])
@@ -274,7 +361,7 @@ def solve(req: SolveRequest) -> SolveResult:
         SolveSolution(params=spec.params_cls(*(float(v) for v in u)), residual_norm=rnorm)
         for u, rnorm in roots
     ]
-    return SolveResult(tuple(sols), attempted, converged, rows, iterations)
+    return SolveResult(tuple(sols), attempted, converged, rows, iterations, outcomes)
 
 
 # ---------------------------------------------------------------------------

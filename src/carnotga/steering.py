@@ -21,7 +21,7 @@ from .flags import align_flags, frame_flag_36, frame_flag_47
 from .ga import Multivector, Rotor, blade_index, sandwich
 from .models import Model, _as_model, _spec, invariants
 from .models import representative_geodesic_36, representative_geodesic_47
-from .solver import SolveRequest, solve
+from .solver import SolveRequest, _outcome_text, solve
 
 
 @dataclass
@@ -42,6 +42,8 @@ class SteerOptions:
             raise ValueError("at least two trajectory samples are required")
         if not self.acceptance_bound > 0:
             raise ValueError("acceptance bound must be positive")
+        if self.early_stop is not None and self.early_stop < 1:
+            raise ValueError("early_stop must be None or at least 1")
 
 
 @dataclass
@@ -137,7 +139,8 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
     result = solve(req)
     if not result.solutions:
         raise InfeasibleTarget(
-            "all converged roots fell outside the bounds or tolerance"
+            "all converged roots fell outside the bounds or tolerance "
+            f"({_outcome_text(result.start_outcomes)})"
         )
     chosen = result.solutions[0]  # minimal arrival time
     params = chosen.params
@@ -175,6 +178,7 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
             "roots": len(result.solutions),
             "residual_rows": result.residual_rows,
             "newton_iterations": result.newton_iterations,
+            "start_outcomes": dict(result.start_outcomes),
             "seed": opts.seed,
             "tolerance": opts.tolerance,
         },

@@ -15,6 +15,7 @@ from carnotga import (
     InfeasibleTarget,
     Model,
     SolveRequest,
+    SteerOptions,
     aligned_fiber_inputs,
     invariants_36,
     invariants_47,
@@ -25,7 +26,9 @@ from carnotga import (
     solve,
 )
 from carnotga.models import _spec, invariants
-from carnotga.solver import _BIG, _latin_hypercube, _residual_rows
+from carnotga import solver
+from carnotga.solver import (
+    _BIG, _OUTCOMES, _latin_hypercube, _newton, _norms, _residual_rows, _starts)
 from conftest import REF36_CONSTANTS, REF36_INVARIANTS, REF47_CONSTANTS, REF47_INVARIANTS
 from test_models import params36, params47, random_params36, random_params47
 
@@ -93,8 +96,8 @@ def test_residual_rows_stack_equals_single_rows(rng):
 
 def test_reference_solves_golden():
     # counts and roots of the reference solves at the default seed, as the
-    # per-start Newton loop with scalar residuals found them; bits beyond
-    # 1e-12 follow the platform's libm and LAPACK
+    # first solver (one start at a time, scalar residuals) found them; bits
+    # beyond 1e-12 follow the platform's libm and LAPACK
     cases = (
         (Model.M36, REF36_INVARIANTS, 27, [
             GeodesicParams36(K=0.9885730720302317, D=0.6885102270518171,
@@ -121,6 +124,74 @@ def test_reference_solves_golden():
         assert result.residual_rows >= 64 + result.newton_iterations * 2 * d
 
 
+def test_newton_stack_equals_single_starts(monkeypatch):
+    # the batched Newton gives each start the bits it gets alone, including
+    # starts that need the Levenberg fallback and one whose step is not finite
+    calls = []
+
+    def solve_rows(A, b, lstsq, solve_rows=solver._solve_rows):
+        x = solve_rows(A, b, lstsq)
+        calls.append((lstsq, np.all(np.isfinite(x), axis=1)))
+        return x
+
+    monkeypatch.setattr(solver, "_solve_rows", solve_rows)
+    for model, target in ((Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)):
+        spec = _spec(model)
+        U0 = _starts(SolveRequest(model=model, target=target), spec)[:12].copy()
+        U0[5, 1] = 1e100  # the invariants overflow: a non-finite Jacobian and step
+        target = np.asarray(target, float)
+        counted = [0] * (1 + len(U0))  # residual rows of the stack, then of each start
+
+        def f(U, k):
+            counted[k] += len(U)
+            return _residual_rows(spec, U, target)
+
+        calls.clear()
+        with np.errstate(invalid="ignore"):
+            U, FU, ok, its = _newton(lambda U: f(U, 0), U0)
+            singles = [_newton(lambda U, k=k: f(U, k), u0[None]) for k, u0 in enumerate(U0, 1)]
+        assert any(not newton for newton, _ in calls)  # Levenberg steps taken
+        assert any(newton and not fin.all() for newton, fin in calls)
+        assert U.tobytes() == np.concatenate([r[0] for r in singles]).tobytes()
+        assert FU.tobytes() == np.concatenate([r[1] for r in singles]).tobytes()
+        assert ok.tolist() == [bool(r[2][0]) for r in singles]
+        assert its.tolist() == [int(r[3][0]) for r in singles]
+        assert counted[0] == sum(counted[1:])
+        # the start with the non-finite step stops before any line search
+        assert ok.any() and not ok[5] and its[5] == 1 and counted[6] == 1 + 2 * len(U0[5])
+
+
+def test_line_search_norms_equal_linalg_norm(rng):
+    # the Armijo test compares the norms np.linalg.norm gives one vector
+    for d in (4, 5):
+        F = rng.standard_normal((2000, d)) * 10.0 ** rng.uniform(-8, 8, size=(2000, 1))
+        want = np.array([np.linalg.norm(row) for row in F])
+        assert _norms(F).tobytes() == want.tobytes()
+        assert _norms(F.reshape(100, 20, d)).tobytes() == want.tobytes()
+
+
+def test_start_outcomes():
+    cases = (
+        (Model.M36, REF36_INVARIANTS, (1, 37, 3, 0, 23, 0, 0), 1),
+        (Model.M47, REF47_INVARIANTS, (2, 52, 2, 0, 8, 0, 0), 7),
+    )
+    for model, target, counts, scanned in cases:
+        result = solve(SolveRequest(model=model, target=target))
+        assert tuple(result.start_outcomes) == _OUTCOMES
+        assert tuple(result.start_outcomes.values()) == counts
+        # early stop: the starts are scanned in order up to the first root
+        result = solve(SolveRequest(model=model, target=target, early_stop=1))
+        assert result.starts_attempted == scanned
+        out = result.start_outcomes
+        assert out["accepted"] == 1 and out["not_scanned"] == 64 - scanned
+        assert sum(out.values()) == 64
+
+
+def test_solve_results_do_not_depend_on_batch_size(monkeypatch):
+    want = solve(SolveRequest(model=Model.M47, target=REF47_INVARIANTS, max_starts=24))
+    monkeypatch.setattr(solver, "_BATCH", 5)
+    got = solve(SolveRequest(model=Model.M47, target=REF47_INVARIANTS, max_starts=24))
+    assert got == want
 
 
 def test_solve_reference_case_36():
@@ -200,7 +271,7 @@ def test_solve_determinism():
 
 
 def test_solve_infeasible_target_raises():
-    with pytest.raises(InfeasibleTarget):
+    with pytest.raises(InfeasibleTarget, match="start outcomes: accepted 0, not_converged 8,"):
         solve(
             SolveRequest(
                 model=Model.M36,
@@ -214,9 +285,14 @@ def test_solve_infeasible_target_raises():
 def test_solve_request_validation():
     with pytest.raises(ValueError):
         SolveRequest(model=Model.M36, target=(1.0, 2.0))
-    for bad in ({"k_max": -1.0}, {"k_max": np.nan}, {"t_max": np.nan}, {"tolerance": np.nan}):
+    for bad in ({"k_max": -1.0}, {"k_max": np.nan}, {"t_max": np.nan}, {"tolerance": np.nan},
+                {"early_stop": 0}, {"early_stop": -1}):
         with pytest.raises(ValueError):
             SolveRequest(model=Model.M36, target=(1.0, 2.0, 3.0), **bad)
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            SteerOptions(early_stop=bad)
+    assert SteerOptions(early_stop=1).early_stop == 1
 
 
 def test_latin_hypercube_matches_scipy():

@@ -114,6 +114,8 @@ def test_report_roundtrip_and_verify(ref36_target, ref47_target):
         assert len(lines) == 4
         diag = data["diagnostics"]
         assert diag["residual_rows"] > diag["newton_iterations"] > 0
+        assert sum(diag["start_outcomes"].values()) == 64
+        assert diag["start_outcomes"]["accepted"] == diag["roots"]
 
 
 def test_verify_catches_corrupted_rotor(ref36_target):
@@ -277,6 +279,15 @@ def test_cli_exit_infeasible(tmp_path):
     bad = _target_file(tmp_path, {"e1": 1e6, "e2": 0.0, "e3": 0.0, "e12": 1.0}, "36")
     code = main(["steer", "--target", bad, "--starts", "8", "--tmax", "5"])
     assert code == EXIT_INFEASIBLE
+
+
+def test_cli_infeasible_names_start_outcomes(tmp_path, capsys):
+    # every converged root lies beyond --kmax: the message says so per start
+    target = _target_file(tmp_path, REF36_TARGET, "36")
+    assert main(["steer", "--target", target, "--starts", "16", "--kmax", "0.5"]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: all converged roots fell outside the bounds or tolerance")
+    assert "start outcomes: accepted 0, not_converged 5, out_of_bounds 11," in err
 
 
 def test_cli_exit_degenerate(tmp_path):
