@@ -11,10 +11,11 @@ from carnotga import (
     SteerOptions,
     compute_invariants,
     point_from_blade_map,
+    report_to_dict,
     representative_geodesic_36,
     steer,
 )
-from carnotga.steering import coordinate_row
+from carnotga.steering import coordinate_columns
 
 target = point_from_blade_map(
     Model.M36, {"e1": 2, "e2": -1, "e3": 3, "e12": 1, "e13": -2, "e23": -2}
@@ -39,8 +40,9 @@ print("\nstep 4: aligning rotor")
 print("  R =", report.rotor.mv)
 
 print("\nstep 5: steered trajectory samples (x1..x3, z1..z3)")
-for t, point in zip(report.times, report.points):
-    row = ", ".join(f"{v:+.4f}" for v in coordinate_row(Model.M36, point))
+traj = report_to_dict(report)["trajectory"]
+for i, t in enumerate(traj["t"]):
+    row = ", ".join(f"{traj[c][i]:+.4f}" for c in coordinate_columns(Model.M36))
     print(f"  t = {t:6.3f}:  {row}")
 print(f"\nendpoint error: {report.endpoint_error:.3e} "
       f"(acceptance bound {report.acceptance_bound})")

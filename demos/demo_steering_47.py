@@ -13,11 +13,12 @@ from carnotga import (
     SteerOptions,
     compute_invariants,
     point_from_blade_map,
+    report_to_dict,
     representative_geodesic_47,
     sandwich,
     steer,
 )
-from carnotga.steering import coordinate_row
+from carnotga.steering import coordinate_columns
 
 target = point_from_blade_map(
     Model.M47,
@@ -42,7 +43,8 @@ drift = np.max(np.abs(sandwich(report.rotor, e1).coeffs - e1.coeffs))
 print(f"rotor moves e1 by {drift:.2e} (the symmetry fixes the first axis)")
 
 print("\nsteered trajectory samples (x, l1..l3, y1..y3):")
-for t, point in zip(report.times, report.points):
-    row = ", ".join(f"{v:+.4f}" for v in coordinate_row(Model.M47, point))
+traj = report_to_dict(report)["trajectory"]
+for i, t in enumerate(traj["t"]):
+    row = ", ".join(f"{traj[c][i]:+.4f}" for c in coordinate_columns(Model.M47))
     print(f"  t = {t:6.3f}:  {row}")
 print(f"\nendpoint error: {report.endpoint_error:.3e}")

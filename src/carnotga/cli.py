@@ -10,7 +10,6 @@ error), 4 I/O or parse error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -83,33 +82,20 @@ def _write_text(path: str | None, text: str):
         raise _CliError(EXIT_IO, f"cannot write {path}: {exc}")
 
 
-def _trajectory_csv(report_dict: dict) -> str:
-    cols = ("t",) + coordinate_columns(report_dict["model"])
-    traj = report_dict["trajectory"]
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(cols)
-    for i in range(len(traj["t"])):
-        writer.writerow([f"{traj[c][i]:.12g}" for c in cols])
-    return buf.getvalue()
+def _csv(traj: dict, cols) -> str:
+    """The trajectory columns ``cols`` as CSV with LF line endings."""
+    lines = [",".join(cols)]
+    lines += [",".join(f"{v:.12g}" for v in row) for row in zip(*(traj[c] for c in cols))]
+    return "\n".join(lines) + "\n"
 
 
 def _emit_plot_data(report_dict: dict, stem: str):
     """Per-axis CSV files grouped the way the trajectories are usually drawn."""
-    traj = report_dict["trajectory"]
     groups = {}
     for col in coordinate_columns(report_dict["model"]):
         groups.setdefault(col.rstrip("0123456789"), []).append(col)
     for name, cols in groups.items():
-        rows = ["t," + ",".join(cols)]
-        for i in range(len(traj["t"])):
-            rows.append(
-                f"{traj['t'][i]:.12g},"
-                + ",".join(f"{traj[c][i]:.12g}" for c in cols)
-            )
-        _write_text(f"{stem}_{name}.csv", "\n".join(rows) + "\n")
+        _write_text(f"{stem}_{name}.csv", _csv(report_dict["trajectory"], ["t", *cols]))
 
 
 def _cmd_invariants(args) -> int:
@@ -137,7 +123,7 @@ def _cmd_steer(args) -> int:
     report = steer(model, mv, opts)
     data = report_to_dict(report)
     if args.format == "csv":
-        _write_text(args.out, _trajectory_csv(data))
+        _write_text(args.out, _csv(data["trajectory"], ["t", *coordinate_columns(model)]))
     else:
         _write_text(args.out, json.dumps(data, indent=2))
     if args.emit_plot_data:

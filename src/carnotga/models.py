@@ -107,7 +107,7 @@ class Model36Point:
     @property
     def z_vector(self) -> np.ndarray:
         """Classical vertical coordinates (z_1, z_2, z_3)."""
-        return np.array(_SPECS[Model.M36].coordinates(self.mv)[3:])
+        return np.array(_SPECS[Model.M36].coordinates(self.mv.coeffs)[3:])
 
 
 @dataclass(frozen=True)
@@ -662,10 +662,13 @@ class _ModelSpec:
         c[self.index] = raw
         return Multivector(self.dim, c)
 
-    def coordinates(self, mv: Multivector) -> list:
-        """Classical coordinates of a dense element, in ``columns`` order."""
-        raw = mv.coeffs[self.index]
-        return [sign * raw[pos] for _, pos, sign in self.columns]
+    def coordinates(self, coeffs: np.ndarray) -> list:
+        """Classical coordinates of one dense row or a block of rows, in ``columns``
+        order; raises ValueError if a coefficient off the model subspace exceeds 1e-9."""
+        if np.any(np.abs(np.delete(coeffs, self.index, axis=-1)) > 1e-9):
+            raise ValueError("point leaves the model subspace")
+        raw = coeffs[..., self.index]
+        return [sign * raw[..., pos] for _, pos, sign in self.columns]
 
     def geodesic_mv(self, u, t) -> Multivector:
         """Representative curve of raw parameters u at time t."""

@@ -14,6 +14,7 @@ loop; it exists to validate the closed forms against an independent route.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from dataclasses import dataclass
 
@@ -94,7 +95,7 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, lstsq: bool) -> np.ndarray:
     """Solve A[i] x = b[i] for every row in one batched call.  A batched solve
     fails as a whole if one matrix is singular; then each row is solved on its
     own, and a singular row gets its least-squares solution if ``lstsq``,
-    else NaN."""
+    else NaN, as when least squares fails on a non-finite matrix."""
     try:
         return np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -104,7 +105,8 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, lstsq: bool) -> np.ndarray:
                 out[i] = np.linalg.solve(a, v)
             except np.linalg.LinAlgError:
                 if lstsq:
-                    out[i] = np.linalg.lstsq(a, v, rcond=None)[0]
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        out[i] = np.linalg.lstsq(a, v, rcond=None)[0]
         return out
 
 
@@ -140,9 +142,11 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10):
         stencil[:, d + diag_idx, diag_idx] -= h
         fs = f(stencil.reshape(-1, d)).reshape(len(rows), 2 * d, fu.shape[1])
         # row j of the difference is column j of the Jacobian; copied C-contiguous
-        # because a transposed view sends jac.T @ jac down another BLAS path
-        jac = np.ascontiguousarray(
-            ((fs[:, :d] - fs[:, d:]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1))
+        # because a transposed view sends jac.T @ jac down another BLAS path; an
+        # overflowed residual gives inf - inf, and its start stops on the NaN step
+        with np.errstate(invalid="ignore"):
+            jac = np.ascontiguousarray(
+                ((fs[:, :d] - fs[:, d:]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1))
         step = _solve_rows(jac, -fu, lstsq=True)
         finite = np.all(np.isfinite(step), axis=1)
         active[rows[~finite]] = False

@@ -11,7 +11,7 @@ origin to q_t with the final point matching up to solver tolerance.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -48,7 +48,8 @@ class SteerOptions:
 
 @dataclass
 class SteerReport:
-    """Everything the pipeline produced, sufficient to re-verify offline."""
+    """Everything the pipeline produced, sufficient to re-verify offline;
+    ``coeffs`` holds the trajectory, one dense row per entry of ``times``."""
 
     model: Model
     target: Multivector
@@ -57,11 +58,20 @@ class SteerReport:
     residual_norm: float
     rotor: Rotor
     times: np.ndarray
-    points: list
-    endpoint: Multivector
+    coeffs: np.ndarray
     endpoint_error: float
     acceptance_bound: float
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def points(self) -> list:
+        """The trajectory as one Multivector per sample."""
+        return [Multivector(self.target.dim, row) for row in self.coeffs]
+
+    @property
+    def endpoint(self) -> Multivector:
+        """The last trajectory row."""
+        return Multivector(self.target.dim, self.coeffs[-1])
 
 
 def point_from_blade_map(model, data: dict) -> Multivector:
@@ -91,12 +101,6 @@ def point_from_blade_map(model, data: dict) -> Multivector:
 def point_to_blade_map(model, mv: Multivector) -> dict:
     spec = _spec(model)
     return {key: float(v) for key, v in zip(spec.blades, mv.coeffs[spec.index])}
-
-
-def coordinate_row(model, mv: Multivector) -> list:
-    """Classical coordinates of a point, in the conventional order."""
-    spec = _spec(model)
-    return spec.coordinates(spec.point_cls(mv).mv)
 
 
 def coordinate_columns(model) -> tuple:
@@ -152,10 +156,13 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
     rotor = align_flags(flag(origin_end.mv), flag(target))
 
     times = np.linspace(0.0, params.t_final, opts.samples)
-    points = [sandwich(rotor, geodesic(params, t).mv) for t in times]
-    endpoint = points[-1]
-    err = float(np.max(np.abs(endpoint.coeffs - target.coeffs)))
-    if err > opts.acceptance_bound:
+    raw = spec.geodesic_raw(*astuple(params)[:-1], times)
+    # the sandwich is linear: its action on each model blade, applied to the
+    # raw curve as one matmul, pushes every sample through the rotor
+    action = np.array([sandwich(rotor, spec.mv(e)).coeffs for e in np.eye(len(spec.blades))])
+    coeffs = raw @ action
+    err = float(np.max(np.abs(coeffs[-1] - target.coeffs)))
+    if not err <= opts.acceptance_bound:  # a NaN error misses too
         raise InfeasibleTarget(
             f"steered endpoint misses the target by {err:.3e}, "
             f"beyond the acceptance bound {opts.acceptance_bound:.3e}"
@@ -168,8 +175,7 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
         residual_norm=chosen.residual_norm,
         rotor=rotor,
         times=times,
-        points=points,
-        endpoint=endpoint,
+        coeffs=coeffs,
         endpoint_error=err,
         acceptance_bound=opts.acceptance_bound,
         diagnostics={
@@ -191,13 +197,9 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
 
 def report_to_dict(report: SteerReport) -> dict:
     model = report.model
-    traj = {"t": [float(t) for t in report.times]}
-    columns = coordinate_columns(model)
-    for name in columns:
-        traj[name] = []
-    for mv in report.points:
-        for name, value in zip(columns, coordinate_row(model, mv)):
-            traj[name].append(float(value))
+    traj = {"t": report.times.tolist()}
+    for name, col in zip(coordinate_columns(model), _spec(model).coordinates(report.coeffs)):
+        traj[name] = col.tolist()
     return {
         "model": model.value,
         "target": point_to_blade_map(model, report.target),

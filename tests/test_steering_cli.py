@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,31 @@ def test_steer_generated_target_roundtrip_47(rng):
         target = sandwich(rot, qo.mv)
         report = steer(Model.M47, target, FAST)
         assert report.endpoint_error < 1e-6
+
+
+def test_steered_block_matches_algebra_reference(ref36_target, ref47_target):
+    # the block is the representative pushed through the rotor's linear action;
+    # the reference conjugates each sample by the dense sandwich
+    for model, target, geodesic in (
+        (Model.M36, ref36_target, representative_geodesic_36),
+        (Model.M47, ref47_target, representative_geodesic_47),
+    ):
+        report = steer(model, target, SteerOptions(samples=200))
+        want = np.array([sandwich(report.rotor, geodesic(report.params, t).mv).coeffs
+                         for t in report.times])
+        assert report.coeffs.shape == want.shape == (200, 1 << target.dim)
+        assert np.max(np.abs(report.coeffs - want)) <= 1e-14
+        assert np.array_equal([p.coeffs for p in report.points], report.coeffs)
+        assert np.array_equal(report.endpoint.coeffs, report.coeffs[-1])
+
+
+def test_report_rejects_off_model_coefficients(ref47_target):
+    report = steer(Model.M47, ref47_target, FAST)
+    report.coeffs[7, 6] = 1e-12  # e23, below the subspace tolerance
+    report_to_dict(report)
+    report.coeffs[7, 6] = 1e-6
+    with pytest.raises(ValueError, match="model subspace"):
+        report_to_dict(report)
 
 
 def test_steer_degenerate_target_raises():
@@ -249,12 +275,14 @@ def test_cli_csv_output(tmp_path):
 
 
 def test_cli_emit_plot_data(tmp_path):
+    # each per-axis file holds the matching columns of the --format csv output
     for table, model, files in (
         (REF47_TARGET, "47", (("x", "t,x"), ("l", "t,l1,l2,l3"), ("y", "t,y1,y2,y3"))),
         (REF36_TARGET, "36", (("x", "t,x1,x2,x3"), ("z", "t,z1,z2,z3"))),
     ):
         target = _target_file(tmp_path, table, model)
         stem = str(tmp_path / f"plot{model}")
+        csv_path = tmp_path / "traj.csv"
         code = main(
             [
                 "steer",
@@ -269,10 +297,19 @@ def test_cli_emit_plot_data(tmp_path):
             ]
         )
         assert code == EXIT_OK
+        args = ["steer", "--target", target, "--samples", "20", "--format", "csv"]
+        assert main(args + ["--out", str(csv_path)]) == EXIT_OK
+        full = csv_path.read_bytes()
+        assert b"\r" not in full
+        rows = [line.split(",") for line in full.decode().splitlines()]
         for suffix, header in files:
-            lines = open(f"{stem}_{suffix}.csv").read().strip().splitlines()
+            text = open(f"{stem}_{suffix}.csv", newline="").read()
+            assert "\r" not in text
+            lines = text.strip().splitlines()
             assert len(lines) == 21
             assert lines[0] == header
+            picks = [rows[0].index(name) for name in header.split(",")]
+            assert lines == [",".join(row[i] for i in picks) for row in rows]
 
 
 def test_cli_exit_infeasible(tmp_path):
@@ -288,6 +325,17 @@ def test_cli_infeasible_names_start_outcomes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("infeasible: all converged roots fell outside the bounds or tolerance")
     assert "start outcomes: accepted 0, not_converged 5, out_of_bounds 11," in err
+
+
+def test_cli_huge_bounds_exit_infeasible_without_warning(tmp_path):
+    # huge bounds make residuals overflow: no start converges, and no numpy
+    # warning or least-squares failure escapes the solver
+    for table, model in ((REF36_TARGET, "36"), (REF47_TARGET, "47")):
+        target = _target_file(tmp_path, table, model)
+        for flag in ("--kmax", "--tmax"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["steer", "--target", target, flag, "1e300"]) == EXIT_INFEASIBLE
 
 
 def test_cli_exit_degenerate(tmp_path):
