@@ -49,7 +49,7 @@ def _load_target(arg: str, model_flag: str | None):
             raise _CliError(EXIT_IO, f"cannot read target file: {exc}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise _CliError(EXIT_IO, f"target is not valid JSON: {exc}")
     if not isinstance(data, dict) or not isinstance(data.get("point"), dict):
         raise _CliError(EXIT_IO, 'target JSON must be an object with a "point" map')
@@ -137,7 +137,7 @@ def _cmd_verify(args) -> int:
             data = json.load(fh)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read report: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _CliError(EXIT_IO, f"report is not valid JSON: {exc}")
     try:
         ok, lines = verify_report(data)

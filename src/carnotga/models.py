@@ -580,21 +580,30 @@ def _starts_47(k0, t0, raw):
     return np.column_stack([k0, r * np.cos(psi), r * np.sin(psi), np.cos(alpha), t0])
 
 
-def _rk4_rhs_36(s, omega):
-    x = s[0:3]
-    h = s[6:9]
-    dz = 0.5 * np.array(
-        [x[0] * h[1] - x[1] * h[0], x[0] * h[2] - x[2] * h[0], x[1] * h[2] - x[2] * h[1]]
+def _rk4_rhs_36(k, s):
+    """Derivatives of the state components (x in e1..e3, z in e12, e13, e23,
+    momentum h): dx = h, dz = x ^ h / 2 and dh = -Omega h written out from
+    ``omega_matrix``.  Each entry is a float or a numpy column of draws."""
+    k1, k2, k3 = k
+    x1, x2, x3, _, _, _, h1, h2, h3 = s
+    return (
+        h1, h2, h3,
+        0.5 * (x1 * h2 - x2 * h1), 0.5 * (x1 * h3 - x3 * h1), 0.5 * (x2 * h3 - x3 * h2),
+        -k1 * h2 - k2 * h3, k1 * h1 - k3 * h3, k2 * h1 + k3 * h2,
     )
-    return np.concatenate([h, dz, -omega @ h])
 
 
-def _rk4_rhs_47(s, omega):
-    x = s[0]
-    l = s[1:4]
-    h = s[7:11]
-    dy = 0.5 * (x * h[1:4] - h[0] * l)
-    return np.concatenate([[h[0]], h[1:4], dy, -omega @ h])
+def _rk4_rhs_47(k, s):
+    """Derivatives of the state components (x on e1, l on e2..e4, y on e12..e14,
+    momentum (h0, hbar)): dx = h0, dl = hbar, dy = (x hbar - h0 l) / 2 and
+    dh = -Omega h written out from ``omega_matrix``."""
+    k1, k2, k3 = k
+    x, l1, l2, l3, _, _, _, h0, h1, h2, h3 = s
+    return (
+        h0, h1, h2, h3,
+        0.5 * (x * h1 - h0 * l1), 0.5 * (x * h2 - h0 * l2), 0.5 * (x * h3 - h0 * l3),
+        -k1 * h1 - k2 * h2 - k3 * h3, k1 * h0, k2 * h0, k3 * h0,
+    )
 
 
 def _aligned_fiber_36(params):
@@ -638,7 +647,7 @@ class _ModelSpec:
     flag: Callable  # dense Multivector -> flag
     geodesic: Callable  # (params, t) -> point on the representative curve
     fiber: Callable
-    rk4_rhs: Callable  # (state, omega) -> d state / dt
+    rk4_rhs: Callable  # (momenta k, state components) -> their derivatives
     aligned_fiber: Callable  # params -> (kvec, fiber constants)
 
     @cached_property

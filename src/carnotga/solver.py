@@ -17,12 +17,13 @@ from __future__ import annotations
 import contextlib
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import InfeasibleTarget
 from .ga import geometric_product, grade_project, inner_product, outer_product
-from .models import Model, _as_model, _spec, omega_matrix
+from .models import Model, _as_model, _spec
 
 _BIG = 1e12
 _DEDUP_RADIUS = 1e-6  # roots this close in every raw parameter count as one
@@ -70,8 +71,10 @@ def residual(model, params, t: float, target) -> np.ndarray:
 
 def _norms(F: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row along the last axis; matmul sums every row
-    as ``np.linalg.norm`` sums a single vector (``axis=`` sums in another order)."""
-    return np.sqrt((F[..., None, :] @ F[..., :, None])[..., 0, 0])
+    as ``np.linalg.norm`` sums a single vector (``axis=`` sums in another order);
+    a row too large to square has norm inf."""
+    with np.errstate(over="ignore"):
+        return np.sqrt((F[..., None, :] @ F[..., :, None])[..., 0, 0])
 
 
 def _line_search(f, U, FU, steps):
@@ -254,7 +257,11 @@ def _starts(req: SolveRequest, spec) -> np.ndarray:
     raw = _latin_hypercube(req.max_starts, len(spec.param_names) - 1, req.seed)
     # unit-speed horizontal curves cannot beat the straight line, so the
     # arrival time is at least the horizontal displacement of the target
-    t_lo = min(max(0.2, 0.999 * spec.t_floor(req.target)), 0.9 * req.t_max)
+    try:
+        floor = spec.t_floor(req.target)
+    except OverflowError:  # squaring an axis coordinate beyond 1e154
+        floor = np.inf
+    t_lo = min(max(0.2, 0.999 * floor), 0.9 * req.t_max)
     k0 = 0.05 + raw[:, 0] * (req.k_max - 0.05)
     t0 = t_lo + raw[:, 1] * (req.t_max - t_lo)
     return spec.start(k0, t0, raw)
@@ -372,6 +379,41 @@ def solve(req: SolveRequest) -> SolveResult:
 # RK4 oracle
 
 
+def _rk4(rhs, k, state, dt, steps: int) -> list:
+    """Classical fixed-step RK4 on a list of state components.
+
+    Every component, momentum and step size is a float for one draw or a
+    numpy column for a batch of draws; numpy's elementwise + and * round as
+    Python floats do, so each batch row has the bits of its single-draw run.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+    for _ in range(steps):
+        a = rhs(k, state)
+        b = rhs(k, [s + half * d for s, d in zip(state, a)])
+        c = rhs(k, [s + half * d for s, d in zip(state, b)])
+        d = rhs(k, [s + dt * e for s, e in zip(state, c)])
+        state = [s + sixth * (p + 2.0 * q + 2.0 * r + w) for s, p, q, r, w in zip(state, a, b, c, d)]
+    return state
+
+
+def _rk4_inputs(spec, kvec, constants, t_final, steps):
+    """The oracle's inputs as float arrays of shapes (..., 3), (..., dim) and
+    (...); raises ValueError naming the first malformed argument."""
+    if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    t_final = np.asarray(t_final, float)
+    if not np.all(np.isfinite(t_final)):
+        raise ValueError("t_final must be finite")
+    kvec = np.asarray(kvec, float)
+    if kvec.shape != t_final.shape + (3,) or not np.all(np.isfinite(kvec)):
+        raise ValueError(f"kvec must hold 3 finite momenta per draw, got shape {kvec.shape}")
+    constants = np.asarray(constants, float)
+    if constants.shape != t_final.shape + (spec.dim,) or not np.all(np.isfinite(constants)):
+        raise ValueError(f"constants must hold {spec.dim} finite values per draw for this "
+                         f"model, got shape {constants.shape}")
+    return kvec, constants, t_final
+
+
 def rk4_endpoint(model, kvec, constants, t_final: float, steps: int):
     """Endpoint of the coupled base and momentum system, integrated by
     classical fixed-step RK4 from the origin.
@@ -379,23 +421,29 @@ def rk4_endpoint(model, kvec, constants, t_final: float, steps: int):
     ``kvec`` holds the three constant vertical momenta; ``constants`` are
     the fiber expansion constants handed to the fiber solution at t = 0.
     This path never uses the closed-form trigonometric solutions, so it is
-    a genuine cross-check for them.
+    a genuine cross-check for them.  The integration runs on Python floats.
     """
     spec = _spec(model)
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    kvec = np.asarray(kvec, float)
-    dt = t_final / steps
-    omega = omega_matrix(model, *kvec)
-    n = len(spec.blades)
-    state = np.concatenate([np.zeros(n), spec.fiber(kvec, constants, 0.0)])
-    for _ in range(steps):
-        k1 = spec.rk4_rhs(state, omega)
-        k2 = spec.rk4_rhs(state + 0.5 * dt * k1, omega)
-        k3 = spec.rk4_rhs(state + 0.5 * dt * k2, omega)
-        k4 = spec.rk4_rhs(state + dt * k3, omega)
-        state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return spec.point_cls(spec.mv(state[:n]))
+    kvec, constants, t_final = _rk4_inputs(spec, kvec, constants, t_final, steps)
+    state = [0.0] * len(spec.blades) + spec.fiber(kvec, constants, 0.0).tolist()
+    raw = _rk4(spec.rk4_rhs, kvec.tolist(), state, float(t_final) / steps, steps)
+    return spec.point_cls(spec.mv(raw[:len(spec.blades)]))
+
+
+def rk4_endpoints(model, kvecs, constants, t_finals, steps: int) -> np.ndarray:
+    """``rk4_endpoint`` for a batch of B draws at once: ``kvecs`` (B, 3),
+    ``constants`` (B, dim) and ``t_finals`` (B,) give the raw endpoint rows
+    (B, len(blades)) in the model's blade order, each row with the bits of
+    its single-draw call."""
+    spec = _spec(model)
+    kvecs, constants, t_finals = _rk4_inputs(spec, kvecs, constants, t_finals, steps)
+    if t_finals.ndim != 1:
+        raise ValueError(f"t_finals must be one value per draw, got shape {t_finals.shape}")
+    n, batch = len(spec.blades), len(t_finals)
+    momenta = np.array([spec.fiber(k, c, 0.0) for k, c in zip(kvecs, constants)])
+    state = [np.zeros(batch)] * n + list(momenta.reshape(batch, spec.dim).T)
+    raw = _rk4(spec.rk4_rhs, list(kvecs.T), state, t_finals / steps, steps)
+    return np.column_stack(raw[:n])
 
 
 def aligned_fiber_inputs(model, params):

@@ -11,6 +11,7 @@ origin to q_t with the final point matching up to solver tolerance.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, astuple, dataclass, field
 from numbers import Real
 
@@ -82,6 +83,8 @@ def point_from_blade_map(model, data: dict) -> Multivector:
     """
     model = _as_model(model)
     spec = _spec(model)
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a point must be a blade-keyed map, got {type(data).__name__}")
     c = np.zeros(1 << spec.dim)
     for key, value in data.items():
         if key not in spec.blades:
@@ -115,7 +118,10 @@ def _bound(fn):
 
 
 def compute_invariants(model, mv: Multivector) -> tuple:
-    return invariants(model, _spec(model).point_cls(mv)).as_tuple()
+    """Rotation invariants of a point; a product that overflows a float
+    raises ValueError as a non-finite coefficient, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return invariants(model, _spec(model).point_cls(mv)).as_tuple()
 
 
 def steer(model, target: Multivector, options: SteerOptions | None = None) -> SteerReport:
@@ -128,7 +134,7 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
     model = _as_model(model)
     spec = _spec(model)
     opts = options or SteerOptions()
-    inv = invariants(model, spec.point_cls(target)).as_tuple()
+    inv = compute_invariants(model, target)
 
     req = SolveRequest(
         model=model,

@@ -34,12 +34,13 @@ from carnotga import (
     representative_geodesic_36,
     representative_geodesic_47,
     rk4_endpoint,
+    rk4_endpoints,
     sandwich,
     so3_action,
     solve,
     steer,
 )
-from carnotga.models import _geodesic_raw_36, _geodesic_raw_47
+from carnotga.models import _geodesic_raw_36, _geodesic_raw_47, _spec
 from conftest import (
     REF36_CONSTANTS,
     REF36_INVARIANTS,
@@ -194,19 +195,16 @@ def test_criterion_6_rotor_alignment_property_suite():
 def test_criterion_7_oracle_equivalence():
     rng = np.random.default_rng(71)
     worst = 0.0
-    for _ in range(100):
-        p = _random_params36(rng)
-        t = float(rng.uniform(0.5, 10.0))
-        kv, cv = aligned_fiber_inputs(Model.M36, p)
-        got = rk4_endpoint(Model.M36, kv, cv, t, 4096).mv.coeffs
-        want = representative_geodesic_36(p, t).mv.coeffs
-        worst = max(worst, float(np.max(np.abs(got - want))))
-    for _ in range(100):
-        p = _random_params47(rng)
-        t = float(rng.uniform(0.5, 10.0))
-        kv, cv = aligned_fiber_inputs(Model.M47, p)
-        got = rk4_endpoint(Model.M47, kv, cv, t, 4096).mv.coeffs
-        want = representative_geodesic_47(p, t).mv.coeffs
+    for model, draw, closed_form in (
+        (Model.M36, _random_params36, representative_geodesic_36),
+        (Model.M47, _random_params47, representative_geodesic_47),
+    ):
+        # all 100 draws first, in the order of one integration per draw, then one batch
+        draws = [(draw(rng), float(rng.uniform(0.5, 10.0))) for _ in range(100)]
+        kvs, cvs = zip(*(aligned_fiber_inputs(model, p) for p, _ in draws))
+        raw = rk4_endpoints(model, kvs, cvs, [t for _, t in draws], 4096)
+        got = np.array([_spec(model).mv(row).coeffs for row in raw])
+        want = np.array([closed_form(p, t).mv.coeffs for p, t in draws])
         worst = max(worst, float(np.max(np.abs(got - want))))
 
     orders = []

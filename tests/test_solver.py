@@ -19,10 +19,12 @@ from carnotga import (
     aligned_fiber_inputs,
     invariants_36,
     invariants_47,
+    omega_matrix,
     representative_geodesic_36,
     representative_geodesic_47,
     residual,
     rk4_endpoint,
+    rk4_endpoints,
     solve,
 )
 from carnotga.models import _spec, invariants
@@ -319,24 +321,92 @@ def test_rk4_zero_curvature_straight_line():
     assert np.allclose(p47.y_coords, 0.0, atol=1e-12)
 
 
+def _rk4_batch_against_closed_form(model, params, closed_form):
+    kvecs, consts = zip(*(aligned_fiber_inputs(model, p) for p in params))
+    raw = rk4_endpoints(model, kvecs, consts, [p.t_final for p in params], 4096)
+    for row, p in zip(raw, params):
+        want = closed_form(p, p.t_final)
+        assert np.max(np.abs(_spec(model).mv(row).coeffs - want.mv.coeffs)) < 1e-8
+
+
 def test_rk4_agrees_with_closed_form_36(rng):
-    for _ in range(5):
-        p = random_params36(rng)
-        kvec, cvec = aligned_fiber_inputs(Model.M36, p)
-        t = p.t_final
-        got = rk4_endpoint(Model.M36, kvec, cvec, t, 4096)
-        want = representative_geodesic_36(p, t)
-        assert np.max(np.abs(got.mv.coeffs - want.mv.coeffs)) < 1e-8
+    params = [random_params36(rng) for _ in range(5)]
+    _rk4_batch_against_closed_form(Model.M36, params, representative_geodesic_36)
 
 
 def test_rk4_agrees_with_closed_form_47(rng):
-    for _ in range(5):
-        p = random_params47(rng)
-        kvec, cvec = aligned_fiber_inputs(Model.M47, p)
-        t = p.t_final
-        got = rk4_endpoint(Model.M47, kvec, cvec, t, 4096)
-        want = representative_geodesic_47(p, t)
-        assert np.max(np.abs(got.mv.coeffs - want.mv.coeffs)) < 1e-8
+    params = [random_params47(rng) for _ in range(5)]
+    _rk4_batch_against_closed_form(Model.M47, params, representative_geodesic_47)
+
+
+def _rhs_reference(model, k, s):
+    """The state derivative as one numpy expression, the reference for the
+    componentwise form: ``concatenate([h, dz, -omega_matrix(model, *k) @ h])``."""
+    if model is Model.M36:
+        x, h = s[0:3], s[6:9]
+        dz = 0.5 * np.array(
+            [x[0] * h[1] - x[1] * h[0], x[0] * h[2] - x[2] * h[0], x[1] * h[2] - x[2] * h[1]])
+    else:
+        x, l, h = s[0], s[1:4], s[7:11]
+        dz = 0.5 * (x * h[1:4] - h[0] * l)
+    return np.concatenate([h, dz, -omega_matrix(model, *k) @ h])
+
+
+@pytest.mark.parametrize("model", [Model.M36, Model.M47])
+def test_rk4_rhs_is_minus_omega_h(model):
+    """The componentwise right-hand side is the structure-constant system:
+    within a few ulp of the numpy product, whose summation order BLAS picks,
+    and equal when k2 = k3 = 0, where every row of -Omega h has one nonzero
+    term.  A zero's sign may differ there: base components start at +0 and
+    +0 + -0 is +0, so it never reaches an endpoint."""
+    spec = _spec(model)
+    rng = np.random.default_rng(7)
+    m = len(spec.blades)
+    for _ in range(200):
+        k = rng.normal(size=3)
+        s = rng.normal(size=m + spec.dim)
+        got = np.array(spec.rk4_rhs(k.tolist(), s.tolist()))
+        want = _rhs_reference(model, k, s)
+        assert np.array_equal(got[:m], want[:m])
+        h = s[m:]
+        ulp = np.finfo(float).eps * (np.abs(omega_matrix(model, *k)) @ np.abs(h))
+        assert np.all(np.abs(got[m:] - want[m:]) <= 4 * ulp)
+        k[1:] = 0.0
+        got = np.array(spec.rk4_rhs(k.tolist(), s.tolist()))
+        assert np.array_equal(got, _rhs_reference(model, k, s))
+
+
+@pytest.mark.parametrize("model", [Model.M36, Model.M47])
+def test_rk4_batch_rows_equal_single_draws(model):
+    spec = _spec(model)
+    rng = np.random.default_rng(11)
+    kvecs = rng.normal(size=(5, 3))
+    kvecs[2] = 0.0  # zero curvature: constant momentum
+    kvecs[3, 1:] = 0.0  # aligned
+    consts = rng.normal(size=(5, spec.dim))
+    times = rng.uniform(0.5, 6.0, size=5)
+    raw = rk4_endpoints(model, kvecs, consts, times, 300)
+    assert raw.shape == (5, len(spec.blades))
+    for row, k, c, t in zip(raw, kvecs, consts, times):
+        single = rk4_endpoint(model, k, c, t, 300).mv.coeffs[spec.index]
+        assert row.tobytes() == single.tobytes()
+
+
+def test_rk4_documented_targets_golden_endpoints():
+    """Aligned 4096-step endpoints of both documented targets, in raw blade
+    order, pinned bit for bit."""
+    golden = {
+        Model.M36: (GeodesicParams36(*(REF36_CONSTANTS[n] for n in ("K", "D", "C3", "t"))), [
+            "0x1.0aff47c05b7d3p-1", "-0x1.5924345745b45p-1", "0x1.d2519548fcfefp+1",
+            "-0x1.706b88940c341p+0", "0x1.0a7882da388c2p+1", "0x1.9c46eb4ef8728p+0"]),
+        Model.M47: (GeodesicParams47(*(REF47_CONSTANTS[n] for n in ("K", "C1", "C2", "C", "t"))), [
+            "0x1.0000172c4b7dap+0", "0x1.8d0a824fed05dp-2", "0x1.dc5792631944cp+1",
+            "0x0.0p+0", "0x1.58160b09f3389p+1", "0x1.55072eacf4350p+0", "0x0.0p+0"]),
+    }
+    for model, (p, want) in golden.items():
+        kvec, cvec = aligned_fiber_inputs(model, p)
+        got = rk4_endpoint(model, kvec, cvec, p.t_final, 4096).mv.coeffs[_spec(model).index]
+        assert [float(v).hex() for v in got] == want
 
 
 def test_rk4_error_drops_sixteenfold_when_steps_double():
@@ -371,5 +441,21 @@ def test_rk4_convergence_order():
 
 
 def test_rk4_validates_steps():
-    with pytest.raises(ValueError):
-        rk4_endpoint(Model.M36, [0, 0, 0], [1, 0, 0], 1.0, 0)
+    bad = [
+        ("steps", (Model.M36, [0, 0, 0], [1, 0, 0], 1.0, 0)),
+        ("steps", (Model.M36, [0, 0, 0], [1, 0, 0], 1.0, 2.5)),
+        ("steps", (Model.M36, [0, 0, 0], [1, 0, 0], 1.0, True)),
+        ("t_final", (Model.M36, [0, 0, 0], [1, 0, 0], float("nan"), 8)),
+        ("t_final", (Model.M47, [0, 0, 0], [1, 0, 0, 0], float("inf"), 8)),
+        ("kvec", (Model.M36, [0, 0], [1, 0, 0], 1.0, 8)),
+        ("kvec", (Model.M47, [0, 0, 0, 0], [1, 0, 0, 0], 1.0, 8)),
+        ("constants", (Model.M47, [0, 0, 0], [1, 0, 0], 1.0, 8)),
+        ("constants", (Model.M36, [0, 0, 0], [1, 0, 0, 0], 1.0, 8)),
+    ]
+    for name, args in bad:
+        with pytest.raises(ValueError, match=name):
+            rk4_endpoint(*args)
+    with pytest.raises(ValueError, match="t_finals"):
+        rk4_endpoints(Model.M36, [0, 0, 0], [1, 0, 0], 1.0, 8)
+    with pytest.raises(ValueError, match="constants"):
+        rk4_endpoints(Model.M36, [[0, 0, 0]] * 2, [[1, 0, 0]], [1.0, 2.0], 8)

@@ -1,5 +1,8 @@
 """End-to-end steering pipeline and the command line contract."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from carnotga import (
     AntipodalVectors,
@@ -380,6 +385,13 @@ def test_cli_exit_io_on_bad_input(tmp_path):
     report = tmp_path / "huge_bound.json"
     report.write_text(json.dumps(data))
     assert main(["verify", str(report)]) == EXIT_IO
+    data["acceptance_bound"], data["target"] = 0.05, 0.0  # a target that is no map
+    report.write_text(json.dumps(data))
+    assert main(["verify", str(report)]) == EXIT_IO
+    deep = "[" * 100000 + "]" * 100000  # nested beyond the JSON decoder's recursion limit
+    report.write_text(deep)
+    assert main(["verify", str(report)]) == EXIT_IO
+    assert main(["invariants", "--target", '{"model": "36", "point": %s}' % deep]) == EXIT_IO
 
 
 def test_cli_inline_json_and_module_entry(tmp_path):
@@ -429,3 +441,101 @@ def test_cli_steer_deterministic_given_seed(tmp_path):
         )
         outs.append(open(path).read())
     assert outs[0] == outs[1]
+
+
+# --------------------------------------------------------------------------
+# CLI fuzzing: random and corrupted targets and reports
+
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_NUMBERS = (
+    st.floats(-10.0, 10.0)
+    | st.floats()
+    | st.integers(-(10**400), 10**400)
+    | st.sampled_from([float("nan"), float("inf"), 1e300, -1e300, 1e-300, 0.0])
+)
+_TARGETS = st.one_of(
+    *(
+        st.fixed_dictionaries({
+            "model": st.just(model),
+            "point": st.dictionaries(st.sampled_from(list(blades)), _NUMBERS, max_size=len(blades)),
+        })
+        for model, blades in (("36", REF36_TARGET), ("47", REF47_TARGET))
+    ),
+    st.fixed_dictionaries({
+        "model": st.sampled_from(["36", "47", 36, 47, "12"]) | _JUNK,
+        "point": st.dictionaries(st.sampled_from(["e1", "e12", "e23", "e4", "x"]), _NUMBERS | _JUNK)
+        | _JUNK,
+    }),
+)
+
+
+def _run_cli(args):
+    """Run ``main`` in process: it must return an exit code of the contract
+    and print no traceback; a numpy RuntimeWarning fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(args)
+    assert code in range(5) and "Traceback" not in err.getvalue(), (args, code, err.getvalue())
+
+
+_FUZZ = settings(max_examples=200, deadline=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@_FUZZ
+@given(
+    target=_TARGETS,
+    cut=st.none() | st.integers(0, 120),
+    model=st.sampled_from([[], ["--model", "36"], ["--model", "47"]]),
+    command=st.sampled_from([["invariants"], ["steer", "--starts", "2", "--samples", "2"]]),
+)
+# found by this test: squaring x = 1e300 in the M47 start floor raised
+# OverflowError; the M36 invariants of e1 = 1e300 warned before exiting 4
+@example(target={"model": "47", "point": {"e1": 1e300}}, cut=None, model=[],
+         command=["steer", "--starts", "2", "--samples", "2"])
+@example(target={"model": "36", "point": {"e1": 1e300}}, cut=None, model=[],
+         command=["steer", "--starts", "2", "--samples", "2"])
+def test_cli_fuzz_targets(target, cut, model, command):
+    # json.dumps writes NaN and huge integers as json.loads reads them back;
+    # a cut text starts with "{", so it is parsed inline, never opened as a path
+    text = json.dumps(target)[:cut]
+    _run_cli(command + model + ["--target", text])
+
+
+@pytest.fixture(scope="module")
+def fuzz_reports():
+    return [
+        report_to_dict(steer(model, point_from_blade_map(model, table), FAST))
+        for model, table in ((Model.M36, REF36_TARGET), (Model.M47, REF47_TARGET))
+    ]
+
+
+@_FUZZ
+@given(data=st.data())
+def test_cli_fuzz_reports(fuzz_reports, tmp_path_factory, data):
+    """Start from a real report, then drop fields, retype them or set them to
+    NaN, huge or nested values, at any depth."""
+    report = copy.deepcopy(data.draw(st.sampled_from(fuzz_reports)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = report
+        while isinstance(node, (dict, list)) and node:
+            key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+                node = child
+            elif data.draw(st.booleans()):
+                del node[key]
+                break
+            else:
+                node[key] = data.draw(_NUMBERS | _JUNK)
+                break
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    path.write_text(json.dumps(report)[:data.draw(st.none() | st.integers(0, 400))])
+    _run_cli(["verify", str(path)])
