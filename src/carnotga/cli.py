@@ -32,12 +32,6 @@ EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _load_target(arg: str, model_flag: str | None):
     """Read {"model": ..., "point": {...}} from inline JSON or a file."""
     text = arg
@@ -46,26 +40,26 @@ def _load_target(arg: str, model_flag: str | None):
             with open(arg, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise _CliError(EXIT_IO, f"cannot read target file: {exc}")
+            raise ValueError(f"cannot read target file: {exc}")
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise _CliError(EXIT_IO, f"target is not valid JSON: {exc}")
+        raise ValueError(f"target is not valid JSON: {exc}")
     if not isinstance(data, dict) or not isinstance(data.get("point"), dict):
-        raise _CliError(EXIT_IO, 'target JSON must be an object with a "point" map')
+        raise ValueError('target JSON must be an object with a "point" map')
     model_value = data.get("model", model_flag)
     if model_value is None:
-        raise _CliError(EXIT_IO, "no model given (flag --model or JSON field)")
+        raise ValueError("no model given (flag --model or JSON field)")
     if model_flag is not None and str(model_value) != str(model_flag):
-        raise _CliError(EXIT_IO, "--model contradicts the model in the target JSON")
+        raise ValueError("--model contradicts the model in the target JSON")
     try:
         model = Model(str(model_value))
     except ValueError:
-        raise _CliError(EXIT_IO, f"unknown model {model_value!r} (use 36 or 47)")
+        raise ValueError(f"unknown model {model_value!r} (use 36 or 47)")
     try:
         mv = point_from_blade_map(model, data["point"])
     except (ValueError, TypeError) as exc:
-        raise _CliError(EXIT_IO, f"bad point: {exc}")
+        raise ValueError(f"bad point: {exc}")
     return model, mv
 
 
@@ -79,7 +73,7 @@ def _write_text(path: str | None, text: str):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {path}: {exc}")
+        raise ValueError(f"cannot write {path}: {exc}")
 
 
 def _csv(traj: dict, cols) -> str:
@@ -136,13 +130,13 @@ def _cmd_verify(args) -> int:
         with open(args.report, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read report: {exc}")
+        raise ValueError(f"cannot read report: {exc}")
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise _CliError(EXIT_IO, f"report is not valid JSON: {exc}")
+        raise ValueError(f"report is not valid JSON: {exc}")
     try:
         ok, lines = verify_report(data)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise _CliError(EXIT_IO, f"report schema: {exc!r}")
+        raise ValueError(f"report schema: {exc!r}")
     for line in lines:
         print(line)
     print("verification", "PASSED" if ok else "FAILED")
@@ -207,9 +201,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except InfeasibleTarget as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -219,7 +210,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_DEGENERATE
-    except ValueError as exc:
+    except ValueError as exc:  # bad input values, and the CLI's own I/O and parse failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

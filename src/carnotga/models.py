@@ -69,22 +69,24 @@ def _as_model(model) -> Model:
 
 
 @dataclass(frozen=True)
-class Model36Point:
-    """Group element of the 6-dimensional model, stored as q = x + z in G_3."""
+class _ModelPoint:
+    """Group element stored as a dense multivector ``mv`` on the subspace of
+    the model ``_model``; coefficients off it up to 1e-9 are zeroed."""
 
     mv: Multivector
 
     def __post_init__(self):
-        if self.mv.dim != 3:
-            raise ValueError("Model36Point lives in G_3")
-        junk = abs(self.mv.coeffs[0]) + abs(self.mv.coeffs[7])
-        if junk > 1e-9:
-            raise ValueError("point has scalar or pseudoscalar contamination")
-        if junk != 0.0:
-            cleaned = self.mv.coeffs.copy()
-            cleaned[0] = 0.0
-            cleaned[7] = 0.0
-            object.__setattr__(self, "mv", Multivector(3, cleaned))
+        spec = _SPECS[self._model]
+        coeffs = spec.on_subspace(self.mv.coeffs)
+        if coeffs is not self.mv.coeffs:
+            object.__setattr__(self, "mv", Multivector(spec.dim, coeffs))
+
+
+@dataclass(frozen=True)
+class Model36Point(_ModelPoint):
+    """Group element of the 6-dimensional model, stored as q = x + z in G_3."""
+
+    _model = Model.M36
 
     @classmethod
     def origin(cls) -> "Model36Point":
@@ -111,24 +113,11 @@ class Model36Point:
 
 
 @dataclass(frozen=True)
-class Model47Point:
+class Model47Point(_ModelPoint):
     """Group element of the 7-dimensional model, stored in G_4 as
     q = x e1 + l + y with l in span(e2,e3,e4) and y in e1 ^ span(e2,e3,e4)."""
 
-    mv: Multivector
-
-    def __post_init__(self):
-        if self.mv.dim != 4:
-            raise ValueError("Model47Point lives in G_4")
-        c = self.mv.coeffs
-        bad = [0, 6, 10, 12, 7, 11, 13, 14, 15]  # scalar, e23,e24,e34, grades 3-4
-        junk = float(np.max(np.abs(c[bad])))
-        if junk > 1e-9:
-            raise ValueError("point leaves the model subspace of G_4")
-        if junk != 0.0:
-            cleaned = c.copy()
-            cleaned[bad] = 0.0
-            object.__setattr__(self, "mv", Multivector(4, cleaned))
+    _model = Model.M47
 
     @classmethod
     def origin(cls) -> "Model47Point":
@@ -671,12 +660,28 @@ class _ModelSpec:
         c[self.index] = raw
         return Multivector(self.dim, c)
 
+    @cached_property
+    def off(self) -> np.ndarray:
+        """Mask of the dense coefficients off the model subspace."""
+        mask = np.ones(1 << self.dim, bool)
+        mask[self.index] = False
+        return mask
+
+    def on_subspace(self, coeffs: np.ndarray) -> np.ndarray:
+        """One dense row or a block of rows with its coefficients off the model
+        subspace zeroed, or ``coeffs`` itself when they are zero already; raises
+        ValueError for rows of another algebra or an off coefficient above 1e-9."""
+        if np.shape(coeffs)[-1:] != self.off.shape:
+            raise ValueError(f"{self.point_cls.__name__} lives in G_{self.dim}")
+        off = coeffs[..., self.off]
+        if np.any(np.abs(off) > 1e-9):
+            raise ValueError("point leaves the model subspace")
+        return np.where(self.off, 0.0, coeffs) if np.any(off) else coeffs
+
     def coordinates(self, coeffs: np.ndarray) -> list:
         """Classical coordinates of one dense row or a block of rows, in ``columns``
-        order; raises ValueError if a coefficient off the model subspace exceeds 1e-9."""
-        if np.any(np.abs(np.delete(coeffs, self.index, axis=-1)) > 1e-9):
-            raise ValueError("point leaves the model subspace")
-        raw = coeffs[..., self.index]
+        order; rows off the model subspace raise as in ``on_subspace``."""
+        raw = self.on_subspace(coeffs)[..., self.index]
         return [sign * raw[..., pos] for _, pos, sign in self.columns]
 
     def geodesic_mv(self, u, t) -> Multivector:

@@ -181,23 +181,21 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10):
     return U, FU, np.max(np.abs(FU), axis=1) < tol, its
 
 
-@dataclass
-class SolveRequest:
-    """Inputs of a moduli solve.
+@dataclass(kw_only=True)
+class SolveOptions:
+    """The knobs of a moduli solve, shared by ``SolveRequest`` and the
+    steering options.
 
-    ``target`` is the invariant tuple of the steering target; bounds confine
-    the frequency K to (0, k_max] and the arrival time to (0, t_max].
-    ``tolerance`` bounds the forward-checked residual of accepted roots.
-    ``early_stop`` (None or at least 1) ends the scan of the starts, taken
-    in their fixed order, once that many distinct roots were accepted; the
-    roots then depend only on the seed.  Newton runs the starts in blocks of
-    ``_BLOCK`` under it, so the work counted includes the starts of the last
-    block after the stopping one.  Without it up to ``_BATCH`` starts run as
-    one batch.
+    Bounds confine the frequency K to (0, k_max] and the arrival time to
+    (0, t_max].  ``tolerance`` bounds the forward-checked residual of
+    accepted roots.  ``early_stop`` (None or at least 1) ends the scan of
+    the starts, taken in their fixed order, once that many distinct roots
+    were accepted; the roots then depend only on the seed.  Newton runs the
+    starts in blocks of ``_BLOCK`` under it, so the work counted includes
+    the starts of the last block after the stopping one.  Without it up to
+    ``_BATCH`` starts run as one batch.
     """
 
-    model: Model
-    target: tuple
     k_max: float = 10.0
     t_max: float = 20.0
     tolerance: float = 1e-9
@@ -206,16 +204,28 @@ class SolveRequest:
     early_stop: int | None = None
 
     def __post_init__(self):
-        self.model = _as_model(self.model)
-        want = len(_spec(self.model).invariant_names)
-        if len(self.target) != want:
-            raise ValueError(f"model {self.model.value} takes {want} invariants")
         if not (self.k_max > 0 and self.t_max > 0 and self.tolerance > 0):
             raise ValueError("bounds and tolerance must be positive")
         if self.max_starts < 1:
             raise ValueError("max_starts must be at least 1")
         if self.early_stop is not None and self.early_stop < 1:
             raise ValueError("early_stop must be None or at least 1")
+
+
+@dataclass
+class SolveRequest(SolveOptions):
+    """Inputs of a moduli solve: the solve options plus the model and
+    ``target``, the invariant tuple of the steering target."""
+
+    model: Model
+    target: tuple
+
+    def __post_init__(self):
+        self.model = _as_model(self.model)
+        want = len(_spec(self.model).invariant_names)
+        if len(self.target) != want:
+            raise ValueError(f"model {self.model.value} takes {want} invariants")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)

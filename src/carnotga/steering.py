@@ -12,7 +12,7 @@ origin to q_t with the final point matching up to solver tolerance.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from numbers import Real
 
 import numpy as np
@@ -22,29 +22,23 @@ from .flags import align_flags, frame_flag_36, frame_flag_47
 from .ga import Multivector, Rotor, blade_index, sandwich
 from .models import Model, _as_model, _spec, invariants
 from .models import representative_geodesic_36, representative_geodesic_47
-from .solver import SolveRequest, _outcome_text, solve
+from .solver import SolveOptions, SolveRequest, _outcome_text, solve
 
 
-@dataclass
-class SteerOptions:
-    """Knobs of the steering pipeline; defaults match the solver defaults."""
+@dataclass(kw_only=True)
+class SteerOptions(SolveOptions):
+    """Knobs of the steering pipeline: the solve options plus the trajectory
+    sample count and the acceptance bound on the endpoint error."""
 
-    k_max: float = 10.0
-    t_max: float = 20.0
-    tolerance: float = 1e-9
-    max_starts: int = 64
-    seed: int = 0
     samples: int = 200
     acceptance_bound: float = 5e-2
-    early_stop: int | None = None
 
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError("at least two trajectory samples are required")
         if not self.acceptance_bound > 0:
             raise ValueError("acceptance bound must be positive")
-        if self.early_stop is not None and self.early_stop < 1:
-            raise ValueError("early_stop must be None or at least 1")
+        super().__post_init__()
 
 
 @dataclass
@@ -136,17 +130,8 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
     opts = options or SteerOptions()
     inv = compute_invariants(model, target)
 
-    req = SolveRequest(
-        model=model,
-        target=inv,
-        k_max=opts.k_max,
-        t_max=opts.t_max,
-        tolerance=opts.tolerance,
-        max_starts=opts.max_starts,
-        seed=opts.seed,
-        early_stop=opts.early_stop,
-    )
-    result = solve(req)
+    shared = {f.name: getattr(opts, f.name) for f in fields(SolveOptions)}
+    result = solve(SolveRequest(model=model, target=inv, **shared))
     if not result.solutions:
         raise InfeasibleTarget(
             "all converged roots fell outside the bounds or tolerance "

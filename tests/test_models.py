@@ -15,6 +15,7 @@ from carnotga import (
     Multivector,
     Rotor,
     RotorDomain,
+    blade_name,
     fiber_solution_36,
     fiber_solution_47,
     group_inverse_36,
@@ -84,6 +85,40 @@ def random_point47(rng):
     return Model47Point.from_parts(
         rng.uniform(-2, 2), rng.uniform(-2, 2, size=3), rng.uniform(-2, 2, size=3)
     )
+
+
+# --------------------------------------------------------------------------
+# points
+
+
+_OFF_BLADES = [
+    (model, blade)
+    for model in Model
+    for blade in range(1 << _spec(model).dim)
+    if blade not in _spec(model).index
+]
+
+
+@pytest.mark.parametrize(
+    "model, blade", _OFF_BLADES, ids=[f"{m.value}-{blade_name(b)}" for m, b in _OFF_BLADES]
+)
+def test_point_subspace_check(model, blade):
+    # a coefficient off the model subspace above 1e-9 raises, one below is
+    # zeroed, and a multivector of the other algebra raises
+    spec = _spec(model)
+    clean = spec.point_cls(spec.mv(np.linspace(-1.5, 2.0, len(spec.blades))))
+
+    def off_by(value):
+        coeffs = clean.mv.coeffs.copy()
+        coeffs[blade] = value
+        return Multivector(spec.dim, coeffs)
+
+    for value in (2e-9, -2e-9):
+        with pytest.raises(ValueError):
+            spec.point_cls(off_by(value))
+    assert spec.point_cls(off_by(5e-10)).mv.coeffs.tobytes() == clean.mv.coeffs.tobytes()
+    with pytest.raises(ValueError):
+        spec.point_cls(Multivector.zero(7 - spec.dim))
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,7 @@ roots, round trips, determinism, and the RK4 oracle."""
 
 import time
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -287,14 +287,19 @@ def test_solve_infeasible_target_raises():
 def test_solve_request_validation():
     with pytest.raises(ValueError):
         SolveRequest(model=Model.M36, target=(1.0, 2.0))
+    # the steering options reject every bad solver knob at construction, with
+    # the text the solve request gives
     for bad in ({"k_max": -1.0}, {"k_max": np.nan}, {"t_max": np.nan}, {"tolerance": np.nan},
-                {"early_stop": 0}, {"early_stop": -1}):
-        with pytest.raises(ValueError):
+                {"early_stop": 0}, {"early_stop": -1}, {"max_starts": 0}):
+        with pytest.raises(ValueError) as want:
             SolveRequest(model=Model.M36, target=(1.0, 2.0, 3.0), **bad)
-    for bad in (0, -1):
-        with pytest.raises(ValueError):
-            SteerOptions(early_stop=bad)
+        with pytest.raises(ValueError) as got:
+            SteerOptions(**bad)
+        assert str(got.value) == str(want.value)
     assert SteerOptions(early_stop=1).early_stop == 1
+    knobs = [f for f in fields(SolveRequest) if f.name not in ("model", "target")]
+    assert len(knobs) == 6
+    assert all(getattr(SteerOptions(), f.name) == f.default for f in knobs)
 
 
 def test_latin_hypercube_matches_scipy():

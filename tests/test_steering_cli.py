@@ -218,7 +218,7 @@ def test_cli_steer_verify_cycle(tmp_path, capsys):
         ["steer", "--target", target, "--out", report_path, "--samples", "50"]
     )
     assert code == EXIT_OK
-    data = json.loads(open(report_path).read())
+    data = json.loads((tmp_path / "report.json").read_text())
     assert data["endpoint_error"] < 5e-2
     assert len(data["trajectory"]["t"]) == 50
     assert main(["verify", report_path]) == EXIT_OK
@@ -230,9 +230,9 @@ def test_cli_verify_fails_on_tampered_report(tmp_path, capsys):
     target = _target_file(tmp_path, REF36_TARGET, "36")
     report_path = str(tmp_path / "report.json")
     assert main(["steer", "--target", target, "--out", report_path, "--samples", "20"]) == EXIT_OK
-    data = json.loads(open(report_path).read())
+    data = json.loads((tmp_path / "report.json").read_text())
     data["rotor"][2] += 0.1
-    open(report_path, "w").write(json.dumps(data))
+    (tmp_path / "report.json").write_text(json.dumps(data))
     assert main(["verify", report_path]) == EXIT_VERIFY_FAILED
 
 
@@ -272,7 +272,7 @@ def test_cli_csv_output(tmp_path):
             ]
         )
         assert code == EXIT_OK
-        lines = open(csv_path).read().strip().splitlines()
+        lines = (tmp_path / "traj.csv").read_text().strip().splitlines()
         assert lines[0] == header
         assert len(lines) == 26
         ts = [float(l.split(",")[0]) for l in lines[1:]]
@@ -308,7 +308,8 @@ def test_cli_emit_plot_data(tmp_path):
         assert b"\r" not in full
         rows = [line.split(",") for line in full.decode().splitlines()]
         for suffix, header in files:
-            text = open(f"{stem}_{suffix}.csv", newline="").read()
+            with open(f"{stem}_{suffix}.csv", newline="") as fh:
+                text = fh.read()
             assert "\r" not in text
             lines = text.strip().splitlines()
             assert len(lines) == 21
@@ -439,7 +440,7 @@ def test_cli_steer_deterministic_given_seed(tmp_path):
             )
             == EXIT_OK
         )
-        outs.append(open(path).read())
+        outs.append((tmp_path / name).read_text())
     assert outs[0] == outs[1]
 
 
