@@ -314,23 +314,49 @@ def _level_47(K, C1, C2, C):
     return K * K * (C1 * C1 + C2 * C2) + C * C
 
 
+def _geodesic_cols_36(K, D, C3, t) -> tuple:
+    """Coefficient columns (x1, x2, x3, z12, z13, z23) of the representative
+    curve for K != 0, from scalars or columns; K t, its sine and cosine and
+    the prefactors are computed once."""
+    kt = K * t
+    s, c = np.sin(kt), np.cos(kt)
+    dk = D / K
+    kk2 = 2.0 * K * K
+    h = C3 * D / kk2
+    return (
+        dk * (1.0 - c),
+        dk * s,
+        C3 * t,
+        -D * D / kk2 * (kt - s),
+        h * (kt - 2.0 * s + kt * c),
+        h * (2.0 - kt * s - 2.0 * c),
+    )
+
+
+def _geodesic_cols_47(K, C1, C2, C, t) -> tuple:
+    """Coefficient columns (x, l1, l2, l3, y12, y13, y14) of the representative
+    curve for K != 0, as for the other model."""
+    kt = K * t
+    s, c = np.sin(kt), np.cos(kt)
+    c1kt, c22 = C1 * kt, 2.0 * C2
+    zero = kt - kt  # +0.0, scalar or column like the other entries
+    return (
+        C1 * c + C2 * s - C1,
+        C1 * s - C2 * c + C2,
+        C * t,
+        zero,
+        0.5 * (C1 * C1 + C2 * C2) * (kt - s),
+        C / (2.0 * K) * ((2.0 * C1 - C2 * kt) * s - (c1kt + c22) * c + c22 - c1kt),
+        zero,
+    )
+
+
 def _geodesic_raw_36(K, D, C3, t) -> np.ndarray:
     """Coefficients (x1, x2, x3, z12, z13, z23) of the representative curve;
     columns give one row each (the K = 0 line is taken for scalar K only)."""
     if not isinstance(K, np.ndarray) and K == 0.0:
         return np.array([0.0, D * t, C3 * t, 0.0, 0.0, 0.0])
-    s, c = np.sin(K * t), np.cos(K * t)
-    kt = K * t
-    return np.array(
-        [
-            D / K * (1.0 - c),
-            D / K * s,
-            C3 * t,
-            -D * D / (2.0 * K * K) * (kt - s),
-            C3 * D / (2.0 * K * K) * (kt - 2.0 * s + kt * c),
-            C3 * D / (2.0 * K * K) * (2.0 - kt * s - 2.0 * c),
-        ]
-    ).T
+    return np.array(_geodesic_cols_36(K, D, C3, t)).T
 
 
 def _geodesic_raw_47(K, C1, C2, C, t) -> np.ndarray:
@@ -338,22 +364,7 @@ def _geodesic_raw_47(K, C1, C2, C, t) -> np.ndarray:
     scalars or columns as for the other model."""
     if not isinstance(K, np.ndarray) and K == 0.0:
         return np.array([0.0, 0.0, C * t, 0.0, 0.0, 0.0, 0.0])
-    s, c = np.sin(K * t), np.cos(K * t)
-    kt = K * t
-    zero = kt - kt  # +0.0, scalar or column like the other entries
-    return np.array(
-        [
-            C1 * c + C2 * s - C1,
-            C1 * s - C2 * c + C2,
-            C * t,
-            zero,
-            0.5 * (C1 * C1 + C2 * C2) * (kt - s),
-            C
-            / (2.0 * K)
-            * ((2.0 * C1 - C2 * kt) * s - (C1 * kt + 2.0 * C2) * c + 2.0 * C2 - C1 * kt),
-            zero,
-        ]
-    ).T
+    return np.array(_geodesic_cols_47(K, C1, C2, C, t)).T
 
 
 def representative_geodesic_36(params: GeodesicParams36, t: float) -> Model36Point:
@@ -429,30 +440,24 @@ def _ga_invariants_47(mv: Multivector, ga) -> tuple:
     )
 
 
-def _invariants_raw_36(raw: np.ndarray) -> np.ndarray:
-    """``_ga_invariants_36`` on raw rows, (n, 6) -> (n, 3): each sum runs in the
-    order the algebra kernel accumulates it, so the values agree bit for bit."""
-    x1, x2, x3, z12, z13, z23 = raw.T
-    return np.column_stack(
-        [
-            x1 * x1 + x2 * x2 + x3 * x3,
-            -(z12 * z12 + z13 * z13 + z23 * z23),
-            -(x1 * z23 - x2 * z13 + x3 * z12),
-        ]
-    )
+def _invariant_cols_36(cols, out: np.ndarray) -> None:
+    """``_ga_invariants_36`` of raw coefficient columns, written into the first
+    three columns of ``out``: each sum runs in the order the algebra kernel
+    accumulates it, so the values agree bit for bit."""
+    x1, x2, x3, z12, z13, z23 = cols
+    out[:, 0] = x1 * x1 + x2 * x2 + x3 * x3
+    out[:, 1] = -(z12 * z12 + z13 * z13 + z23 * z23)
+    out[:, 2] = -(x1 * z23 - x2 * z13 + x3 * z12)
 
 
-def _invariants_raw_47(raw: np.ndarray) -> np.ndarray:
-    """Closed forms of ``_ga_invariants_47`` on raw rows, (n, 7) -> (n, 4)."""
-    x, l1, l2, l3, y12, y13, y14 = raw.T
-    return np.column_stack(
-        [
-            x,
-            l1 * l1 + l2 * l2 + l3 * l3,
-            -(l1 * y12 + l2 * y13 + l3 * y14),
-            -(y12 * y12 + y13 * y13 + y14 * y14),
-        ]
-    )
+def _invariant_cols_47(cols, out: np.ndarray) -> None:
+    """Closed forms of ``_ga_invariants_47`` on raw coefficient columns, written
+    into the first four columns of ``out``."""
+    x, l1, l2, l3, y12, y13, y14 = cols
+    out[:, 0] = x
+    out[:, 1] = l1 * l1 + l2 * l2 + l3 * l3
+    out[:, 2] = -(l1 * y12 + l2 * y13 + l3 * y14)
+    out[:, 3] = -(y12 * y12 + y13 * y13 + y14 * y14)
 
 
 def invariants_36(point) -> Invariants36:
@@ -627,8 +632,9 @@ class _ModelSpec:
     params_cls: type
     invariants_cls: type
     geodesic_raw: Callable  # (*u[:-1], t) -> raw vector
+    geodesic_cols: Callable  # (*u[:-1], t) columns, K != 0 -> raw coefficient columns
     ga_invariants: Callable  # (dense Multivector, algebra module) -> invariant tuple
-    invariants_raw: Callable  # raw rows (n, len(blades)) -> (n, n_inv), ga_invariants bit for bit
+    invariant_cols: Callable  # (raw columns, out block) -> ga_invariants bit for bit in out[:, :n_inv]
     level: Callable  # (*u[:-1]) -> arc-length level, 1 on unit-speed curves
     fold_abs: int  # sign fold: (K, u[2]) flip when K < 0, then u[fold_abs] -> |u[fold_abs]|
     t_floor: Callable  # invariants -> lower bound on the arrival time
@@ -684,6 +690,12 @@ class _ModelSpec:
         raw = self.on_subspace(coeffs)[..., self.index]
         return [sign * raw[..., pos] for _, pos, sign in self.columns]
 
+    def invariants_raw(self, raw: np.ndarray) -> np.ndarray:
+        """``invariant_cols`` on raw rows, (n, len(blades)) -> (n, n_inv)."""
+        out = np.empty((len(raw), len(self.invariant_names)))
+        self.invariant_cols(raw.T, out)
+        return out
+
     def geodesic_mv(self, u, t) -> Multivector:
         """Representative curve of raw parameters u at time t."""
         return self.mv(self.geodesic_raw(*u[:-1], t))
@@ -700,8 +712,9 @@ _SPECS = {
         params_cls=GeodesicParams36,
         invariants_cls=Invariants36,
         geodesic_raw=_geodesic_raw_36,
+        geodesic_cols=_geodesic_cols_36,
         ga_invariants=_ga_invariants_36,
-        invariants_raw=_invariants_raw_36,
+        invariant_cols=_invariant_cols_36,
         level=_level_36,
         fold_abs=1,
         t_floor=lambda inv: np.sqrt(max(inv[0], 0.0)),
@@ -722,8 +735,9 @@ _SPECS = {
         params_cls=GeodesicParams47,
         invariants_cls=Invariants47,
         geodesic_raw=_geodesic_raw_47,
+        geodesic_cols=_geodesic_cols_47,
         ga_invariants=_ga_invariants_47,
-        invariants_raw=_invariants_raw_47,
+        invariant_cols=_invariant_cols_47,
         level=_level_47,
         fold_abs=3,
         t_floor=lambda inv: np.sqrt(max(inv[0] ** 2 + inv[1], 0.0)),

@@ -28,9 +28,11 @@ from .models import Model, _as_model, _spec
 _BIG = 1e12
 _DEDUP_RADIUS = 1e-6  # roots this close in every raw parameter count as one
 _HALVINGS = 0.5 ** np.arange(21)  # line-search step sizes 1 down to 2^-20
-# starts per Newton batch under early_stop: a pass over the benchmark's 48
-# round-trip targets took 1.2 s with blocks of 4, 1.3 s with 2, 1.5 s with
-# one start, 1.6 s with 8 and 3.9 s with all 64 (2-vCPU VM)
+# starts per Newton batch under early_stop; a block ends once its settled
+# starts, scanned in order, hold the roots asked for.  Medians of 5 passes
+# over the benchmark's 48 round-trip targets: 1.3 s with one start, 0.84 s
+# with 2, 0.87 s with 4, 1.1 s with 8, 1.5 s with 16 and 2.2 s with all 64;
+# 10 more passes put 2, 3 and 4 within 3% of each other (2-vCPU VM)
 _BLOCK = 4
 # starts per Newton batch without early_stop; a batch holds about 5 KB per
 # start, so this bounds the memory of a solve with many starts
@@ -50,10 +52,13 @@ def _residual_rows(spec, U: np.ndarray, target: np.ndarray) -> np.ndarray:
     from the closed-form invariants (``spec.ga_invariants`` is their reference).
     Rows with |K| < 1e-10 or a non-finite curve point get the value _BIG."""
     cols = U.T
+    out = np.empty((len(U), len(target) + 1))
     with np.errstate(all="ignore"):
-        vals = spec.geodesic_raw(*cols)
-        out = np.column_stack([spec.invariants_raw(vals) - target, spec.level(*cols[:-1]) - 1.0])
-    out[(np.abs(cols[0]) < 1e-10) | ~np.all(np.isfinite(vals), axis=1)] = _BIG
+        vals = spec.geodesic_cols(*cols)
+        spec.invariant_cols(vals, out)
+        out[:, :-1] -= target
+        out[:, -1] = spec.level(*cols[:-1]) - 1.0
+        out[(np.abs(cols[0]) < 1e-10) | ~np.isfinite(vals).all(axis=0)] = _BIG
     return out
 
 
@@ -96,24 +101,28 @@ def _line_search(f, U, FU, steps):
 
 def _solve_rows(A: np.ndarray, b: np.ndarray, lstsq: bool) -> np.ndarray:
     """Solve A[i] x = b[i] for every row in one batched call.  A batched solve
-    fails as a whole if one matrix is singular; then each row is solved on its
-    own, and a singular row gets its least-squares solution if ``lstsq``,
-    else NaN, as when least squares fails on a non-finite matrix."""
+    fails as a whole if one matrix is exactly singular; then the singular rows
+    are found by a zero ``slogdet`` sign, from the LU factorization the solve
+    runs, and the others are solved in one batch.  A singular row gets its
+    least-squares solution if ``lstsq``, else NaN; so does a singular row with
+    a non-finite entry, on which least squares fails."""
     try:
         return np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        out = np.full_like(b, np.nan)
-        for i, (a, v) in enumerate(zip(A, b)):
-            try:
-                out[i] = np.linalg.solve(a, v)
-            except np.linalg.LinAlgError:
-                if lstsq:
-                    with contextlib.suppress(np.linalg.LinAlgError):
-                        out[i] = np.linalg.lstsq(a, v, rcond=None)[0]
-        return out
+        pass
+    out = np.full_like(b, np.nan)
+    with np.errstate(invalid="ignore"):  # rows holding NaN
+        singular = np.linalg.slogdet(A)[0] == 0.0
+        regular = ~singular
+        out[regular] = np.linalg.solve(A[regular], b[regular, :, None])[..., 0]
+    if lstsq:
+        for i in np.flatnonzero(singular & np.isfinite(A).all(axis=(1, 2))):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
+    return out
 
 
-def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10):
+def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None):
     """Damped Newton with central-difference Jacobian and halving line search,
     run on a stack of starts ``(S, d)`` at once with per-start active masks.
 
@@ -125,6 +134,10 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10):
     on a non-finite Newton step.  Starts never mix, so a stack returns the
     bits its rows return one at a time.  Returns (U, f(U), converged,
     Jacobian evaluations), one entry per start.
+
+    ``scan``, if given, is called before each iteration as
+    ``scan(U, converged, active)``; the rows no longer active hold their final
+    values, and a true return ends the run there.
     """
     U = np.array(U0, float)
     FU = f(U)
@@ -133,7 +146,10 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10):
     its = np.zeros(S, int)
     active = np.ones(S, bool)
     for it in range(max_iter):
-        active &= ~(np.max(np.abs(FU), axis=1) < tol)
+        ok = np.max(np.abs(FU), axis=1) < tol
+        active &= ~ok
+        if scan is not None and scan(U, ok, active):
+            break
         rows = np.flatnonzero(active)
         if not len(rows):
             break
@@ -191,9 +207,10 @@ class SolveOptions:
     accepted roots.  ``early_stop`` (None or at least 1) ends the scan of
     the starts, taken in their fixed order, once that many distinct roots
     were accepted; the roots then depend only on the seed.  Newton runs the
-    starts in blocks of ``_BLOCK`` under it, so the work counted includes
-    the starts of the last block after the stopping one.  Without it up to
-    ``_BATCH`` starts run as one batch.
+    starts in blocks of ``_BLOCK`` under it and ends the last block as soon as
+    its settled starts, scanned in order, hold those roots; the work counted
+    includes the iterations the block's later starts ran until then.  Without
+    it up to ``_BATCH`` starts run as one batch.
     """
 
     k_max: float = 10.0
@@ -308,8 +325,9 @@ def solve(req: SolveRequest) -> SolveResult:
     """Multistart damped Newton over the bounded parameter box.
 
     The starts run through one batched Newton: up to ``_BATCH`` at once, or
-    in blocks of ``_BLOCK`` under ``early_stop``.  Then they are scanned in
-    their original order.  Converged roots are canonicalized, forward-checked
+    in blocks of ``_BLOCK`` under ``early_stop``.  The starts are scanned in
+    their original order, under ``early_stop`` while their block still runs.
+    Converged roots are canonicalized, forward-checked
     against the target (independently of the Newton residual), deduplicated
     both by parameter distance and by invariant-curve signature, and sorted
     by arrival time.  Raises InfeasibleTarget when no start converges at all.
@@ -329,13 +347,6 @@ def solve(req: SolveRequest) -> SolveResult:
         nonlocal rows
         rows += len(U)
         return _residual_rows(spec, U, target)
-
-    def newton_starts():
-        nonlocal iterations
-        for lo in range(0, len(starts), block):
-            U, _, ok, its = _newton(f, starts[lo:lo + block])
-            iterations += int(its.sum())
-            yield from zip(U, ok)
 
     roots = []
     signatures = []
@@ -363,9 +374,23 @@ def solve(req: SolveRequest) -> SolveResult:
         return "accepted"
 
     outcomes = dict.fromkeys(_OUTCOMES, 0)
-    for u, ok in newton_starts():
-        outcomes[screen(u, ok)] += 1
-        if req.early_stop is not None and len(roots) >= req.early_stop:
+    for lo in range(0, len(starts), block):
+        scanned = 0  # starts of this block screened so far
+
+        def scan(U, ok, active) -> bool:
+            """Screen the block's settled starts in order, up to the first one
+            still running; true once early_stop roots are accepted (roots grow
+            one at a time; without early_stop no count equals None)."""
+            nonlocal scanned
+            while scanned < len(U) and not active[scanned] and len(roots) != req.early_stop:
+                outcomes[screen(U[scanned], ok[scanned])] += 1
+                scanned += 1
+            return len(roots) == req.early_stop
+
+        U, _, ok, its = _newton(f, starts[lo:lo + block],
+                                scan=None if req.early_stop is None else scan)
+        iterations += int(its.sum())
+        if scan(U, ok, np.zeros(len(U), bool)):
             break
     attempted = sum(outcomes.values())
     outcomes["not_scanned"] = len(starts) - attempted

@@ -1,6 +1,7 @@
 """Moduli solver: residuals, multistart Newton recovery of the documented
 roots, round trips, determinism, and the RK4 oracle."""
 
+import contextlib
 import time
 import warnings
 from dataclasses import astuple, fields
@@ -32,6 +33,7 @@ from carnotga import solver
 from carnotga.solver import (
     _BIG, _OUTCOMES, _latin_hypercube, _newton, _norms, _residual_rows, _starts)
 from conftest import REF36_CONSTANTS, REF36_INVARIANTS, REF47_CONSTANTS, REF47_INVARIANTS
+from test_acceptance import _flag_margin_36, _flag_margin_47
 from test_models import params36, params47, random_params36, random_params47
 
 
@@ -76,6 +78,10 @@ def test_residual_rows_stack_equals_single_rows(rng):
         U = rng.uniform(-3.0, 3.0, size=(64, len(spec.param_names)))
         U[::7, 0] = 0.0  # |K| below the guard
         U[3, 0], U[3, -1] = 2.0, 1e308  # K t overflows: non-finite curve point
+        U[8, 0] = 1e-300  # D / K overflows, below the guard anyway
+        U[9, 2] = np.nan  # a NaN parameter
+        U[10, -1] = np.inf  # t = inf
+        U[11, -2] = 1e160  # a huge C: invariants and level overflow, the curve does not
         target = rng.uniform(-5.0, 5.0, size=len(spec.invariant_names))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # guarded rows raise no warnings
@@ -83,10 +89,20 @@ def test_residual_rows_stack_equals_single_rows(rng):
             singles = np.array([_residual_rows(spec, u[None], target)[0] for u in U])
         assert rows.tobytes() == singles.tobytes()
         guarded = np.zeros(len(U), bool)
-        guarded[::7] = guarded[3] = True
+        guarded[::7] = guarded[3] = guarded[8:11] = True
         assert np.all(rows[guarded] == _BIG)
-        # the algebra evaluation stays the reference of the closed forms
-        for u, row in zip(U[~guarded], rows[~guarded]):
+        assert not np.isfinite(rows[11]).all()
+        # the composed route through the raw curve rows gives the same bits
+        kept = U[~guarded]
+        with np.errstate(over="ignore"):
+            composed = np.column_stack([
+                spec.invariants_raw(spec.geodesic_raw(*kept.T)) - target,
+                spec.level(*kept[:, :-1].T) - 1.0])
+        assert rows[~guarded].tobytes() == composed.tobytes()
+        # the algebra evaluation stays the reference of the closed forms; its
+        # multivectors hold finite coefficients only
+        finite = np.isfinite(rows).all(axis=1)
+        for u, row in zip(U[finite & ~guarded], rows[finite & ~guarded]):
             inv = invariants(model, spec.geodesic_mv(u, u[-1])).as_tuple()
             assert np.all(row[:-1] == np.array(inv) - target)
             assert row[-1] == spec.level(*u[:-1]) - 1.0
@@ -163,6 +179,50 @@ def test_newton_stack_equals_single_starts(monkeypatch):
         assert ok.any() and not ok[5] and its[5] == 1 and counted[6] == 1 + 2 * len(U0[5])
 
 
+def _solve_one(a, v, lstsq):
+    """The per-row reference of ``_solve_rows``: one solve, least squares on a
+    singular matrix if asked, NaN where that fails too.  On a matrix holding
+    inf or NaN least squares raises or, for some with inf, never returns."""
+    try:
+        return np.linalg.solve(a, v)
+    except np.linalg.LinAlgError:
+        if lstsq and np.isfinite(a).all():
+            with contextlib.suppress(np.linalg.LinAlgError):
+                return np.linalg.lstsq(a, v, rcond=None)[0]
+        return np.full_like(v, np.nan)
+
+
+def test_solve_rows_equal_single_solves(rng, capfd):
+    for d in (4, 5):
+        A = rng.standard_normal((9, d, d))
+        b = rng.standard_normal((9, d))
+        A[1, :, 2] = 0.0  # exactly singular: a zero column
+        A[2, 3] = 0.0  # or a zero row
+        A[3, 0, 1] = np.nan
+        A[4, 2, 2] = np.inf
+        A[5, :, 0] = 0.0
+        A[5, 1, 3] = np.nan  # singular and NaN
+        A[6, :, 1] = 0.0
+        A[6, 0, 0] = -np.inf  # singular and inf
+        b[7, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(A, b[..., None])  # the whole batch falls back
+        got = {}
+        for lstsq in (True, False):
+            with np.errstate(all="ignore"):
+                want = np.array([_solve_one(a, v, lstsq) for a, v in zip(A, b)])
+            capfd.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got[lstsq] = solver._solve_rows(A, b, lstsq)
+            assert got[lstsq].tobytes() == want.tobytes()
+            # least squares never sees a non-finite matrix, so LAPACK prints nothing
+            assert capfd.readouterr() == ("", "")
+        # singular rows get least squares, or NaN without it or on a non-finite matrix
+        assert np.isfinite(got[True][[0, 1, 2, 8]]).all() and np.isnan(got[False][[1, 2]]).all()
+        assert np.isnan(got[True][[5, 6]]).all()
+
+
 def test_line_search_norms_equal_linalg_norm(rng):
     # the Armijo test compares the norms np.linalg.norm gives one vector
     for d in (4, 5):
@@ -187,6 +247,53 @@ def test_start_outcomes():
         out = result.start_outcomes
         assert out["accepted"] == 1 and out["not_scanned"] == 64 - scanned
         assert sum(out.values()) == 64
+
+
+def _criterion_9_targets(count: int) -> list:
+    """``count`` invariant targets per model drawn as criterion 9 draws them:
+    forward-generated endpoints kept 5e-2 from the collinearity locus (its
+    rotations keep the invariants, so they are left out)."""
+    rng = np.random.default_rng(91)
+    targets = []
+    for model, draw, geodesic, margin, inv in (
+            (Model.M36, random_params36, representative_geodesic_36, _flag_margin_36, invariants_36),
+            (Model.M47, random_params47, representative_geodesic_47, _flag_margin_47, invariants_47)):
+        kept = 0
+        while kept < count:
+            p = draw(rng)
+            q = geodesic(p, p.t_final)
+            if margin(q) >= 5e-2:
+                targets.append((model, inv(q).as_tuple()))
+                kept += 1
+    return targets
+
+
+def test_early_stop_ends_the_block_at_the_scanned_root(monkeypatch):
+    # the oracle runs every Newton block to completion and scans it afterwards
+    newton = solver._newton
+
+    def oracle(req):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_newton", lambda f, U0, scan=None: newton(f, U0))
+            return solve(req)
+
+    cases = _criterion_9_targets(6) + [(Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)]
+    runs = {}
+    for model, target in cases:
+        for early_stop in (1, 2):
+            req = SolveRequest(model=model, target=target, early_stop=early_stop)
+            got, want = runs[model, target, early_stop] = solve(req), oracle(req)
+            assert got.solutions == want.solutions
+            assert got.start_outcomes == want.start_outcomes
+            assert (got.starts_attempted, got.converged) == (want.starts_attempted, want.converged)
+            assert got.residual_rows <= want.residual_rows
+            assert got.newton_iterations <= want.newton_iterations
+    # the documented 6-dim target accepts its first start while the other three
+    # starts of the block are still iterating
+    got, want = runs[Model.M36, REF36_INVARIANTS, 1]
+    assert got.starts_attempted == 1
+    assert got.residual_rows < want.residual_rows
+    assert got.newton_iterations < want.newton_iterations
 
 
 def test_solve_results_do_not_depend_on_batch_size(monkeypatch):
