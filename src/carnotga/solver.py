@@ -29,10 +29,11 @@ _BIG = 1e12
 _DEDUP_RADIUS = 1e-6  # roots this close in every raw parameter count as one
 _HALVINGS = 0.5 ** np.arange(21)  # line-search step sizes 1 down to 2^-20
 # starts per Newton batch under early_stop; a block ends once its settled
-# starts, scanned in order, hold the roots asked for.  Medians of 5 passes
-# over the benchmark's 48 round-trip targets: 1.3 s with one start, 0.84 s
-# with 2, 0.87 s with 4, 1.1 s with 8, 1.5 s with 16 and 2.2 s with all 64;
-# 10 more passes put 2, 3 and 4 within 3% of each other (2-vCPU VM)
+# starts, scanned in order, hold the roots asked for.  Medians of two runs
+# of 12 and 16 interleaved passes over the benchmark's 48 round-trip
+# targets, starts in increasing K t: 633/661 ms with one start per block,
+# 623/606 with 2, 694/609 with 3, 666/633 with 4, 675/684 with 6 and
+# 713/720 with 8; 2, 3 and 4 lie within each other's quartiles (2-vCPU VM)
 _BLOCK = 4
 # starts per Newton batch without early_stop; a batch holds about 5 KB per
 # start, so this bounds the memory of a solve with many starts
@@ -205,12 +206,15 @@ class SolveOptions:
     Bounds confine the frequency K to (0, k_max] and the arrival time to
     (0, t_max].  ``tolerance`` bounds the forward-checked residual of
     accepted roots.  ``early_stop`` (None or at least 1) ends the scan of
-    the starts, taken in their fixed order, once that many distinct roots
-    were accepted; the roots then depend only on the seed.  Newton runs the
-    starts in blocks of ``_BLOCK`` under it and ends the last block as soon as
-    its settled starts, scanned in order, hold those roots; the work counted
-    includes the iterations the block's later starts ran until then.  Without
-    it up to ``_BATCH`` starts run as one batch.
+    the starts once that many distinct roots were accepted; the roots then
+    depend only on the seed.  Under it the starts are scanned in increasing
+    winding K t, ties in their drawn order: geodesics oscillate with phase
+    K t and stop minimizing once they wind too far, and low-winding starts
+    converge soonest.  Newton runs them in blocks of ``_BLOCK`` and ends the
+    last block as soon as its settled starts, scanned in order, hold those
+    roots; the work counted includes the iterations the block's later starts
+    ran until then.  Without it the starts keep their drawn order and up to
+    ``_BATCH`` run as one batch.
     """
 
     k_max: float = 10.0
@@ -223,6 +227,8 @@ class SolveOptions:
     def __post_init__(self):
         if not (self.k_max > 0 and self.t_max > 0 and self.tolerance > 0):
             raise ValueError("bounds and tolerance must be positive")
+        if not (self.k_max < np.inf and self.t_max < np.inf):
+            raise ValueError("bounds must be finite")
         if self.max_starts < 1:
             raise ValueError("max_starts must be at least 1")
         if self.early_stop is not None and self.early_stop < 1:
@@ -326,7 +332,8 @@ def solve(req: SolveRequest) -> SolveResult:
 
     The starts run through one batched Newton: up to ``_BATCH`` at once, or
     in blocks of ``_BLOCK`` under ``early_stop``.  The starts are scanned in
-    their original order, under ``early_stop`` while their block still runs.
+    their drawn order, or under ``early_stop`` in increasing K t while their
+    block still runs.
     Converged roots are canonicalized, forward-checked
     against the target (independently of the Newton residual), deduplicated
     both by parameter distance and by invariant-curve signature, and sorted
@@ -337,8 +344,12 @@ def solve(req: SolveRequest) -> SolveResult:
     starts = _starts(req, spec)
     # an exhaustive scan needs every start, so they run in batches as large as
     # memory allows; under early_stop small blocks keep the work spent past the
-    # last root small
-    block = _BATCH if req.early_stop is None else _BLOCK
+    # last root small, and the starts go in increasing K t (``SolveOptions``
+    # says why); both models put K first and t last
+    block = _BATCH
+    if req.early_stop is not None:
+        block = _BLOCK
+        starts = starts[np.argsort(starts[:, 0] * starts[:, -1], kind="stable")]
 
     rows = 0  # residual rows evaluated, over all starts
     iterations = 0

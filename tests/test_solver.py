@@ -234,14 +234,14 @@ def test_line_search_norms_equal_linalg_norm(rng):
 
 def test_start_outcomes():
     cases = (
-        (Model.M36, REF36_INVARIANTS, (1, 37, 3, 0, 23, 0, 0), 1),
-        (Model.M47, REF47_INVARIANTS, (2, 52, 2, 0, 8, 0, 0), 7),
+        (Model.M36, REF36_INVARIANTS, (1, 37, 3, 0, 23, 0, 0), 3),
+        (Model.M47, REF47_INVARIANTS, (2, 52, 2, 0, 8, 0, 0), 2),
     )
     for model, target, counts, scanned in cases:
         result = solve(SolveRequest(model=model, target=target))
         assert tuple(result.start_outcomes) == _OUTCOMES
         assert tuple(result.start_outcomes.values()) == counts
-        # early stop: the starts are scanned in order up to the first root
+        # early stop: the starts are scanned in increasing K t up to the first root
         result = solve(SolveRequest(model=model, target=target, early_stop=1))
         assert result.starts_attempted == scanned
         out = result.start_outcomes
@@ -288,12 +288,75 @@ def test_early_stop_ends_the_block_at_the_scanned_root(monkeypatch):
             assert (got.starts_attempted, got.converged) == (want.starts_attempted, want.converged)
             assert got.residual_rows <= want.residual_rows
             assert got.newton_iterations <= want.newton_iterations
-    # the documented 6-dim target accepts its first start while the other three
-    # starts of the block are still iterating
-    got, want = runs[Model.M36, REF36_INVARIANTS, 1]
-    assert got.starts_attempted == 1
+    # the second 6-dim criterion-9 target accepts its first start while the
+    # other three starts of the block are still iterating
+    model, target = cases[1]
+    got, want = runs[model, target, 1]
+    assert model is Model.M36 and got.starts_attempted == 1
     assert got.residual_rows < want.residual_rows
     assert got.newton_iterations < want.newton_iterations
+
+
+def test_early_stop_scans_starts_by_winding(monkeypatch):
+    # under early_stop the Newton blocks take the starts in increasing K t,
+    # ties in drawn order; the exhaustive solve takes them as drawn, in one batch
+    newton = solver._newton
+    blocks = []
+
+    def recording(f, U0, scan=None):
+        blocks.append(U0.copy())
+        return newton(f, U0, scan=scan)
+
+    monkeypatch.setattr(solver, "_newton", recording)
+    cases = _criterion_9_targets(1) + [(Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)]
+    for model, target in cases:
+        drawn = _starts(SolveRequest(model=model, target=target), _spec(model))
+        by_winding = drawn[np.argsort(drawn[:, 0] * drawn[:, -1], kind="stable")]
+        for early_stop in (1, 64):  # 64 roots are never reached: every block runs
+            blocks.clear()
+            solve(SolveRequest(model=model, target=target, early_stop=early_stop))
+            assert all(len(b) == solver._BLOCK for b in blocks)
+            rows = np.concatenate(blocks)
+            assert rows.tobytes() == by_winding[:len(rows)].tobytes()
+            assert early_stop == 1 or len(rows) == len(drawn)
+        blocks.clear()
+        solve(SolveRequest(model=model, target=target))
+        assert len(blocks) == 1 and blocks[0].tobytes() == drawn.tobytes()
+
+
+def _outcome_or_raise(req):
+    """The solutions and start outcomes of a solve, or the InfeasibleTarget text."""
+    try:
+        result = solve(req)
+    except InfeasibleTarget as exc:
+        return str(exc)
+    return result.solutions, result.start_outcomes
+
+
+def test_early_stop_keeps_feasibility():
+    # early_stop=1 accepts the first start that passes the bounds and the
+    # tolerance, whatever the order; so it raises, or finds no root, exactly
+    # when the exhaustive solve does, and then with the same outcomes
+    rng = np.random.default_rng(91)
+    cases = [(model, target, {}) for model, target in _criterion_9_targets(2)]
+    for _ in range(3):  # random invariant tuples, mostly unreachable
+        for model in Model:
+            n = len(_spec(model).invariant_names)
+            cases.append((model, tuple(rng.uniform(-10.0, 10.0, size=n)), {}))
+    for model, target in ((Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)):
+        for knobs in ({"t_max": 5.0}, {"tolerance": 1e-16}):  # converged, none accepted
+            cases.append((model, target, knobs))
+    kinds = set()
+    for model, target, knobs in cases:
+        want = _outcome_or_raise(SolveRequest(model=model, target=target, **knobs))
+        got = _outcome_or_raise(SolveRequest(model=model, target=target, early_stop=1, **knobs))
+        if isinstance(want, str) or not want[0]:
+            assert got == want
+            kinds.add("infeasible" if isinstance(want, str) else "empty")
+        else:
+            assert not isinstance(got, str) and len(got[0]) == 1
+            kinds.add("solved")
+    assert kinds == {"infeasible", "empty", "solved"}
 
 
 def test_solve_results_do_not_depend_on_batch_size(monkeypatch):
@@ -397,6 +460,7 @@ def test_solve_request_validation():
     # the steering options reject every bad solver knob at construction, with
     # the text the solve request gives
     for bad in ({"k_max": -1.0}, {"k_max": np.nan}, {"t_max": np.nan}, {"tolerance": np.nan},
+                {"k_max": np.inf}, {"t_max": np.inf},
                 {"early_stop": 0}, {"early_stop": -1}, {"max_starts": 0}):
         with pytest.raises(ValueError) as want:
             SolveRequest(model=Model.M36, target=(1.0, 2.0, 3.0), **bad)

@@ -344,6 +344,17 @@ def test_cli_huge_bounds_exit_infeasible_without_warning(tmp_path):
                 assert main(["steer", "--target", target, flag, "1e300"]) == EXIT_INFEASIBLE
 
 
+def test_cli_infinite_bounds_rejected_without_warning(tmp_path, capsys):
+    # an infinite bound would draw infinite or NaN starts; the options reject it
+    for table, model in ((REF36_TARGET, "36"), (REF47_TARGET, "47")):
+        target = _target_file(tmp_path, table, model)
+        for flag in ("--kmax", "--tmax"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["steer", "--target", target, flag, "inf"]) == EXIT_IO
+            assert "bounds must be finite" in capsys.readouterr().err
+
+
 def test_cli_exit_degenerate(tmp_path):
     bad = _target_file(tmp_path, {"e1": 1.0, "e2": 2.0}, "36")  # no bivector part
     assert main(["steer", "--target", bad]) == EXIT_DEGENERATE
