@@ -28,13 +28,25 @@ from .models import Model, _as_model, _spec
 _BIG = 1e12
 _DEDUP_RADIUS = 1e-6  # roots this close in every raw parameter count as one
 _HALVINGS = 0.5 ** np.arange(21)  # line-search step sizes 1 down to 2^-20
-# starts per Newton batch under early_stop; a block ends once its settled
-# starts, scanned in order, hold the roots asked for.  Medians of two runs
-# of 12 and 16 interleaved passes over the benchmark's 48 round-trip
-# targets, starts in increasing K t: 633/661 ms with one start per block,
-# 623/606 with 2, 694/609 with 3, 666/633 with 4, 675/684 with 6 and
-# 713/720 with 8; 2, 3 and 4 lie within each other's quartiles (2-vCPU VM)
+# starts in the first Newton block under early_stop; each later block is
+# twice the one before, so a target without a root runs 4, 8, 16, 32, ...
+# starts at once rather than 16 blocks of 4.  A block ends once its settled
+# starts, scanned in order, hold the roots asked for.  Medians of two runs of
+# 12 interleaved passes over the benchmark's 48 round-trip targets, starts in
+# increasing K t, blocks doubling: 379/369 ms with a first block of 1,
+# 355/355 with 2, 363/342 with 3, 383/339 with 4, 401/411 with 6 and 440/413
+# with 8; 1 to 4 lie within each other's quartiles (2-vCPU VM)
 _BLOCK = 4
+# a start that has taken the Levenberg fallback stops, not converged, once its
+# largest residual entry fell by less than _STALL_DROP over its last
+# _STALL_WINDOW iterations.  Without it 21 of the 64 M36 and 52 of the 64 M47
+# reference starts ran to the 50-iteration cap (2 and 6 with it), and the
+# exhaustive reference solves took 1864 and 2791 iterations (1306 and 1681).
+# Without the fallback condition the rule also stops starts that creep along
+# a valley and then converge: on one round-trip target it lost the
+# minimal-time root (t 7.7436 -> 7.7586)
+_STALL_WINDOW = 15
+_STALL_DROP = 0.01
 # starts per Newton batch without early_stop; a batch holds about 5 KB per
 # start, so this bounds the memory of a solve with many starts
 _BATCH = 1024
@@ -132,9 +144,13 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
     searches in one more.  Near folds of the invariant map the Jacobian turns
     singular and the pure Newton direction stalls; a Levenberg-style
     regularized step is tried before a start gives up.  A start also stops
-    on a non-finite Newton step.  Starts never mix, so a stack returns the
-    bits its rows return one at a time.  Returns (U, f(U), converged,
-    Jacobian evaluations), one entry per start.
+    on a non-finite Newton step, and, as not converged, once it has taken
+    the Levenberg fallback and its largest residual entry fell by less than
+    ``_STALL_DROP`` over its last ``_STALL_WINDOW`` iterations; a start that
+    creeps without the fallback runs on, since such starts may converge.
+    Starts never mix, so a stack returns the bits its rows return one at a
+    time.  Returns (U, f(U), converged, Jacobian evaluations), one entry per
+    start.
 
     ``scan``, if given, is called before each iteration as
     ``scan(U, converged, active)``; the rows no longer active hold their final
@@ -146,9 +162,14 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
     diag_idx = np.arange(d)
     its = np.zeros(S, int)
     active = np.ones(S, bool)
+    peak = np.empty((max_iter, S))  # largest residual entry per iteration and start
+    levenberg = np.zeros(S, bool)  # starts that have taken the fallback
     for it in range(max_iter):
-        ok = np.max(np.abs(FU), axis=1) < tol
+        peak[it] = np.max(np.abs(FU), axis=1)
+        ok = peak[it] < tol
         active &= ~ok
+        if it >= _STALL_WINDOW:
+            active &= ~(levenberg & (peak[it] > (1.0 - _STALL_DROP) * peak[it - _STALL_WINDOW]))
         if scan is not None and scan(U, ok, active):
             break
         rows = np.flatnonzero(active)
@@ -173,6 +194,7 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
         rows, u, fu, jac, step = rows[finite], u[finite], fu[finite], jac[finite], step[finite]
         u, fu, moved = _line_search(f, u, fu, step)
         stuck = np.flatnonzero(~moved)
+        levenberg[rows[stuck]] = True
         if len(stuck):
             jac = jac[stuck]
             jtj = np.swapaxes(jac, 1, 2) @ jac
@@ -210,11 +232,13 @@ class SolveOptions:
     depend only on the seed.  Under it the starts are scanned in increasing
     winding K t, ties in their drawn order: geodesics oscillate with phase
     K t and stop minimizing once they wind too far, and low-winding starts
-    converge soonest.  Newton runs them in blocks of ``_BLOCK`` and ends the
-    last block as soon as its settled starts, scanned in order, hold those
-    roots; the work counted includes the iterations the block's later starts
-    ran until then.  Without it the starts keep their drawn order and up to
-    ``_BATCH`` run as one batch.
+    converge soonest.  Newton runs them in blocks of ``_BLOCK``, twice that,
+    four times that and so on, and ends the last block as soon as its
+    settled starts, scanned in order, hold those roots; the work counted
+    includes the iterations the block's later starts ran until then.
+    Without it the starts keep their drawn order and up to ``_BATCH`` run as
+    one batch.  Either way a start that stalls after the Levenberg fallback
+    stops early and counts as not converged (see ``_newton``).
     """
 
     k_max: float = 10.0
@@ -331,21 +355,26 @@ def solve(req: SolveRequest) -> SolveResult:
     """Multistart damped Newton over the bounded parameter box.
 
     The starts run through one batched Newton: up to ``_BATCH`` at once, or
-    in blocks of ``_BLOCK`` under ``early_stop``.  The starts are scanned in
-    their drawn order, or under ``early_stop`` in increasing K t while their
-    block still runs.
-    Converged roots are canonicalized, forward-checked
-    against the target (independently of the Newton residual), deduplicated
-    both by parameter distance and by invariant-curve signature, and sorted
-    by arrival time.  Raises InfeasibleTarget when no start converges at all.
+    under ``early_stop`` in blocks of ``_BLOCK``, 2 ``_BLOCK``, 4 ``_BLOCK``,
+    ... capped at the starts left.  The starts are scanned in their drawn
+    order, or under ``early_stop`` in increasing K t while their block still
+    runs.  Starts that stall after the Levenberg fallback stop early, as not
+    converged.  Converged roots are canonicalized and checked against the
+    bounds and the tolerance; the tolerance check re-evaluates the same
+    ``_residual_rows`` that Newton drove below 1e-10, so it is not an
+    independent check.  Roots are then deduplicated both by parameter
+    distance and by invariant-curve signature, and sorted by arrival time.
+    Raises InfeasibleTarget when no start converges at all.
     """
     spec = _spec(req.model)
     target = np.asarray(req.target, float)
     starts = _starts(req, spec)
     # an exhaustive scan needs every start, so they run in batches as large as
-    # memory allows; under early_stop small blocks keep the work spent past the
-    # last root small, and the starts go in increasing K t (``SolveOptions``
-    # says why); both models put K first and t last
+    # memory allows; under early_stop a small first block keeps the work spent
+    # past an early root small, doubling blocks keep a target without a root
+    # from paying numpy's per-call floor once per small block, and the starts
+    # go in increasing K t (``SolveOptions`` says why); both models put K
+    # first and t last
     block = _BATCH
     if req.early_stop is not None:
         block = _BLOCK
@@ -385,7 +414,8 @@ def solve(req: SolveRequest) -> SolveResult:
         return "accepted"
 
     outcomes = dict.fromkeys(_OUTCOMES, 0)
-    for lo in range(0, len(starts), block):
+    lo = 0
+    while lo < len(starts):
         scanned = 0  # starts of this block screened so far
 
         def scan(U, ok, active) -> bool:
@@ -403,6 +433,8 @@ def solve(req: SolveRequest) -> SolveResult:
         iterations += int(its.sum())
         if scan(U, ok, np.zeros(len(U), bool)):
             break
+        lo += block
+        block = min(2 * block, _BATCH)
     attempted = sum(outcomes.values())
     outcomes["not_scanned"] = len(starts) - attempted
     converged = attempted - outcomes["not_converged"]

@@ -113,11 +113,12 @@ def test_residual_rows_stack_equals_single_rows(rng):
 
 
 def test_reference_solves_golden():
-    # counts and roots of the reference solves at the default seed, as the
-    # first solver (one start at a time, scalar residuals) found them; bits
-    # beyond 1e-12 follow the platform's libm and LAPACK
+    # roots of the reference solves at the default seed, as the first solver
+    # (one start at a time, scalar residuals) found them; bits beyond 1e-12
+    # follow the platform's libm and LAPACK; a start the stall stop ended
+    # counts as not converged
     cases = (
-        (Model.M36, REF36_INVARIANTS, 27, [
+        (Model.M36, REF36_INVARIANTS, 26, [
             GeodesicParams36(K=0.9885730720302317, D=0.6885102270518171,
                              C3=0.725226631643554, t_final=5.023644821636999),
         ]),
@@ -179,6 +180,58 @@ def test_newton_stack_equals_single_starts(monkeypatch):
         assert ok.any() and not ok[5] and its[5] == 1 and counted[6] == 1 + 2 * len(U0[5])
 
 
+def _creep(U):
+    """A synthetic residual on rows (x, y) for the stall stop.  Its first entry,
+    the largest, is sign(x) |x|^q; a full Newton step maps x to -x (1/q - 1),
+    so with q = 0.5002 (|x| >= 1) the entry falls by 0.6% per 15 iterations
+    and with q = 0.5005 (|x| < 1) by 1.5%.  Its second entry
+    0.3 + (|y| - 0.1)^2 is flat for |y| <= 0.1; from just outside the flat
+    stretch the Newton step in y overshoots it at every step size, only the
+    Levenberg fallback lands in it, and from there the steps in y are zero."""
+    x, y = U.T
+    r = np.abs(x)
+    return np.column_stack([np.sign(x) * r ** np.where(r >= 1.0, 0.5002, 0.5005),
+                            0.3 + np.maximum(np.abs(y) - 0.1, 0.0) ** 2])
+
+
+def test_newton_stops_stalled_starts_after_the_fallback(monkeypatch):
+    levenberg = []
+
+    def solve_rows(A, b, lstsq, solve_rows=solver._solve_rows):
+        levenberg.append(not lstsq)
+        return solve_rows(A, b, lstsq)
+
+    monkeypatch.setattr(solver, "_solve_rows", solve_rows)
+    edge = 0.1 + 3e-7  # just outside the flat stretch in y
+    starts = np.array([
+        [100.0, edge],  # the fallback, then 0.6% per window: stops at the window
+        [100.0, 0.0],  # the same plateau without the fallback: runs on (a valley)
+        [0.5, edge],  # the fallback, then 1.5% per window: runs on
+        [np.nan, 0.0],  # a non-finite residual stops on its non-finite step
+        [np.inf, 0.0],
+    ])
+    singles = []
+    for u0 in starts:
+        levenberg.clear()
+        with np.errstate(invalid="ignore"):
+            singles.append(_newton(_creep, u0[None]))
+        singles[-1] += (any(levenberg),)
+    U, FU, ok, its = (np.concatenate([r[k] for r in singles]) for k in range(4))
+    assert [r[4] for r in singles] == [True, False, True, False, False]
+    assert not ok.any()
+    assert its.tolist() == [solver._STALL_WINDOW, 50, 50, 1, 1]
+    # the largest entry's drop over the first window: under 1% on the first two
+    window = _newton(_creep, starts[:3], max_iter=solver._STALL_WINDOW)[1]
+    drop = 1.0 - np.abs(window[:, 0] / _creep(starts[:3])[:, 0])
+    assert drop[0] < solver._STALL_DROP and drop[1] < solver._STALL_DROP <= drop[2]
+    assert np.isnan(FU[3]).any() and np.isinf(FU[4]).any()
+    # the rule is per start, so a stack that mixes these rows gives each its bits
+    with np.errstate(invalid="ignore"):
+        stacked = _newton(_creep, starts)
+    for got, want in zip(stacked, (U, FU, ok, its)):
+        assert got.tobytes() == want.tobytes()
+
+
 def _solve_one(a, v, lstsq):
     """The per-row reference of ``_solve_rows``: one solve, least squares on a
     singular matrix if asked, NaN where that fails too.  On a matrix holding
@@ -234,7 +287,7 @@ def test_line_search_norms_equal_linalg_norm(rng):
 
 def test_start_outcomes():
     cases = (
-        (Model.M36, REF36_INVARIANTS, (1, 37, 3, 0, 23, 0, 0), 3),
+        (Model.M36, REF36_INVARIANTS, (1, 38, 2, 0, 23, 0, 0), 3),
         (Model.M47, REF47_INVARIANTS, (2, 52, 2, 0, 8, 0, 0), 2),
     )
     for model, target, counts, scanned in cases:
@@ -299,7 +352,8 @@ def test_early_stop_ends_the_block_at_the_scanned_root(monkeypatch):
 
 def test_early_stop_scans_starts_by_winding(monkeypatch):
     # under early_stop the Newton blocks take the starts in increasing K t,
-    # ties in drawn order; the exhaustive solve takes them as drawn, in one batch
+    # ties in drawn order, in blocks of _BLOCK, 2 _BLOCK, 4 _BLOCK, ... capped
+    # at the starts left; the exhaustive solve takes them as drawn, in one batch
     newton = solver._newton
     blocks = []
 
@@ -315,7 +369,9 @@ def test_early_stop_scans_starts_by_winding(monkeypatch):
         for early_stop in (1, 64):  # 64 roots are never reached: every block runs
             blocks.clear()
             solve(SolveRequest(model=model, target=target, early_stop=early_stop))
-            assert all(len(b) == solver._BLOCK for b in blocks)
+            sizes = [min(solver._BLOCK << k, len(drawn) - solver._BLOCK * ((1 << k) - 1))
+                     for k in range(len(blocks))]
+            assert [len(b) for b in blocks] == sizes
             rows = np.concatenate(blocks)
             assert rows.tobytes() == by_winding[:len(rows)].tobytes()
             assert early_stop == 1 or len(rows) == len(drawn)
@@ -333,23 +389,42 @@ def _outcome_or_raise(req):
     return result.solutions, result.start_outcomes
 
 
-def test_early_stop_keeps_feasibility():
+def test_early_stop_keeps_feasibility(monkeypatch):
     # early_stop=1 accepts the first start that passes the bounds and the
     # tolerance, whatever the order; so it raises, or finds no root, exactly
     # when the exhaustive solve does, and then with the same outcomes
+    newton = solver._newton
+    iterations = []  # Newton iterations of the current solve
+
+    def counting(f, U0, scan=None):
+        out = newton(f, U0, scan=scan)
+        iterations.append(int(out[3].sum()))
+        return out
+
+    monkeypatch.setattr(solver, "_newton", counting)
     rng = np.random.default_rng(91)
-    cases = [(model, target, {}) for model, target in _criterion_9_targets(2)]
-    for _ in range(3):  # random invariant tuples, mostly unreachable
+    cases = [(model, target, {}, None) for model, target in _criterion_9_targets(2)]
+    # random invariant tuples, mostly unreachable; the unreachable ones with a
+    # bound on the Newton iterations of either solve.  The stall stop keeps
+    # them there: without it they took 1776, 3156, 3200 and 3049 iterations
+    # (1219, 1919, 1852 and 1956 with it)
+    caps = iter([1400, 2200, None, 2100, 2250, None])
+    for _ in range(3):
         for model in Model:
             n = len(_spec(model).invariant_names)
-            cases.append((model, tuple(rng.uniform(-10.0, 10.0, size=n)), {}))
+            cases.append((model, tuple(rng.uniform(-10.0, 10.0, size=n)), {}, next(caps)))
     for model, target in ((Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)):
         for knobs in ({"t_max": 5.0}, {"tolerance": 1e-16}):  # converged, none accepted
-            cases.append((model, target, knobs))
+            cases.append((model, target, knobs, None))
     kinds = set()
-    for model, target, knobs in cases:
+    for model, target, knobs, cap in cases:
+        iterations.clear()
         want = _outcome_or_raise(SolveRequest(model=model, target=target, **knobs))
+        exhaustive = sum(iterations)
+        iterations.clear()
         got = _outcome_or_raise(SolveRequest(model=model, target=target, early_stop=1, **knobs))
+        if cap is not None:
+            assert isinstance(want, str) and max(exhaustive, sum(iterations)) <= cap
         if isinstance(want, str) or not want[0]:
             assert got == want
             kinds.add("infeasible" if isinstance(want, str) else "empty")
