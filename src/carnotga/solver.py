@@ -28,14 +28,12 @@ from .models import Model, _as_model, _spec
 _BIG = 1e12
 _DEDUP_RADIUS = 1e-6  # roots this close in every raw parameter count as one
 _HALVINGS = 0.5 ** np.arange(21)  # line-search step sizes 1 down to 2^-20
-# starts in the first Newton block under early_stop; each later block is
-# twice the one before, so a target without a root runs 4, 8, 16, 32, ...
-# starts at once rather than 16 blocks of 4.  A block ends once its settled
-# starts, scanned in order, hold the roots asked for.  Medians of two runs of
-# 12 interleaved passes over the benchmark's 48 round-trip targets, starts in
-# increasing K t, blocks doubling: 379/369 ms with a first block of 1,
-# 355/355 with 2, 363/342 with 3, 383/339 with 4, 401/411 with 6 and 440/413
-# with 8; 1 to 4 lie within each other's quartiles (2-vCPU VM)
+# starts per Newton batch under early_stop; a block ends once its settled
+# starts, scanned in order, hold the roots asked for.  Medians of two runs
+# of 12 and 16 interleaved passes over the benchmark's 48 round-trip
+# targets, starts in increasing K t: 633/661 ms with one start per block,
+# 623/606 with 2, 694/609 with 3, 666/633 with 4, 675/684 with 6 and
+# 713/720 with 8; 2, 3 and 4 lie within each other's quartiles (2-vCPU VM)
 _BLOCK = 4
 # a start that has taken the Levenberg fallback stops, not converged, once its
 # largest residual entry fell by less than _STALL_DROP over its last
@@ -232,13 +230,13 @@ class SolveOptions:
     depend only on the seed.  Under it the starts are scanned in increasing
     winding K t, ties in their drawn order: geodesics oscillate with phase
     K t and stop minimizing once they wind too far, and low-winding starts
-    converge soonest.  Newton runs them in blocks of ``_BLOCK``, twice that,
-    four times that and so on, and ends the last block as soon as its
-    settled starts, scanned in order, hold those roots; the work counted
-    includes the iterations the block's later starts ran until then.
-    Without it the starts keep their drawn order and up to ``_BATCH`` run as
-    one batch.  Either way a start that stalls after the Levenberg fallback
-    stops early and counts as not converged (see ``_newton``).
+    converge soonest.  Newton runs them in blocks of ``_BLOCK`` and ends the
+    last block as soon as its settled starts, scanned in order, hold those
+    roots; the work counted includes the iterations the block's later starts
+    ran until then.  Without it the starts keep their drawn order and up to
+    ``_BATCH`` run as one batch.  Either way a start that stalls after the
+    Levenberg fallback stops early and counts as not converged (see
+    ``_newton``).
     """
 
     k_max: float = 10.0
@@ -355,14 +353,13 @@ def solve(req: SolveRequest) -> SolveResult:
     """Multistart damped Newton over the bounded parameter box.
 
     The starts run through one batched Newton: up to ``_BATCH`` at once, or
-    under ``early_stop`` in blocks of ``_BLOCK``, 2 ``_BLOCK``, 4 ``_BLOCK``,
-    ... capped at the starts left.  The starts are scanned in their drawn
-    order, or under ``early_stop`` in increasing K t while their block still
-    runs.  Starts that stall after the Levenberg fallback stop early, as not
-    converged.  Converged roots are canonicalized and checked against the
-    bounds and the tolerance; the tolerance check re-evaluates the same
-    ``_residual_rows`` that Newton drove below 1e-10, so it is not an
-    independent check.  Roots are then deduplicated both by parameter
+    in blocks of ``_BLOCK`` under ``early_stop``.  The starts are scanned in
+    their drawn order, or under ``early_stop`` in increasing K t while their
+    block still runs.  Starts that stall after the Levenberg fallback stop
+    early, as not converged.  Converged roots are canonicalized and checked
+    against the bounds and the tolerance; the tolerance check re-evaluates
+    the same ``_residual_rows`` that Newton drove below 1e-10, so it is not
+    an independent check.  Roots are then deduplicated both by parameter
     distance and by invariant-curve signature, and sorted by arrival time.
     Raises InfeasibleTarget when no start converges at all.
     """
@@ -370,11 +367,9 @@ def solve(req: SolveRequest) -> SolveResult:
     target = np.asarray(req.target, float)
     starts = _starts(req, spec)
     # an exhaustive scan needs every start, so they run in batches as large as
-    # memory allows; under early_stop a small first block keeps the work spent
-    # past an early root small, doubling blocks keep a target without a root
-    # from paying numpy's per-call floor once per small block, and the starts
-    # go in increasing K t (``SolveOptions`` says why); both models put K
-    # first and t last
+    # memory allows; under early_stop small blocks keep the work spent past the
+    # last root small, and the starts go in increasing K t (``SolveOptions``
+    # says why); both models put K first and t last
     block = _BATCH
     if req.early_stop is not None:
         block = _BLOCK
@@ -414,8 +409,7 @@ def solve(req: SolveRequest) -> SolveResult:
         return "accepted"
 
     outcomes = dict.fromkeys(_OUTCOMES, 0)
-    lo = 0
-    while lo < len(starts):
+    for lo in range(0, len(starts), block):
         scanned = 0  # starts of this block screened so far
 
         def scan(U, ok, active) -> bool:
@@ -433,8 +427,6 @@ def solve(req: SolveRequest) -> SolveResult:
         iterations += int(its.sum())
         if scan(U, ok, np.zeros(len(U), bool)):
             break
-        lo += block
-        block = min(2 * block, _BATCH)
     attempted = sum(outcomes.values())
     outcomes["not_scanned"] = len(starts) - attempted
     converged = attempted - outcomes["not_converged"]
