@@ -54,7 +54,7 @@ _OUTCOMES = ("accepted", "not_converged", "out_of_bounds", "over_tolerance",
              "duplicate_params", "duplicate_orbit", "not_scanned")
 # the invariant formulas of models call the algebra through the module they
 # are handed; the solver hands over this one, so the orbit signatures' algebra
-# calls go through the names imported above
+# calls, the forward check's among them, go through the names imported above
 _GA = sys.modules[__name__]
 
 
@@ -224,7 +224,7 @@ class SolveOptions:
     steering options.
 
     Bounds confine the frequency K to (0, k_max] and the arrival time to
-    (0, t_max].  ``tolerance`` bounds the forward-checked residual of
+    (0, t_max].  ``tolerance`` bounds the algebra-evaluated residual of
     accepted roots.  ``early_stop`` (None or at least 1) ends the scan of
     the starts once that many distinct roots were accepted; the roots then
     depend only on the seed.  Under it the starts are scanned in increasing
@@ -285,11 +285,11 @@ class SolveSolution:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Accepted roots plus the work spent: ``residual_rows`` counts every
-    parameter row the residual was evaluated on, ``newton_iterations`` the
-    Jacobian evaluations over all starts.  ``start_outcomes`` counts the
-    starts by what became of them (keys ``_OUTCOMES``); they sum to
-    ``max_starts``."""
+    """Accepted roots, at least one, plus the work spent: ``residual_rows``
+    counts every parameter row Newton evaluated the residual on,
+    ``newton_iterations`` the Jacobian evaluations over all starts.
+    ``start_outcomes`` counts the starts by what became of them (keys
+    ``_OUTCOMES``); they sum to ``max_starts``."""
 
     solutions: tuple
     starts_attempted: int
@@ -317,7 +317,8 @@ def _starts(req: SolveRequest, spec) -> np.ndarray:
     except OverflowError:  # squaring an axis coordinate beyond 1e154
         floor = np.inf
     t_lo = min(max(0.2, 0.999 * floor), 0.9 * req.t_max)
-    k0 = 0.05 + raw[:, 0] * (req.k_max - 0.05)
+    k_lo = min(0.05, 0.5 * req.k_max)
+    k0 = k_lo + raw[:, 0] * (req.k_max - k_lo)
     t0 = t_lo + raw[:, 1] * (req.t_max - t_lo)
     return spec.start(k0, t0, raw)
 
@@ -337,16 +338,14 @@ def _canonicalize(spec, u: np.ndarray) -> np.ndarray:
 
 
 def _orbit_signature(spec, u: np.ndarray) -> np.ndarray:
-    """Invariant curve fingerprint used to identify orbit-equivalent roots."""
+    """Invariant curve fingerprint used to identify orbit-equivalent roots,
+    from the algebra evaluation that the closed forms are checked against;
+    it ends with the invariants of the endpoint."""
     t = u[-1]
     sig = [t]
     for frac in (0.25, 0.5, 0.75, 1.0):
         sig.extend(spec.ga_invariants(spec.geodesic_mv(u, frac * t), _GA))
     return np.array(sig)
-
-
-def _outcome_text(outcomes: dict) -> str:
-    return "start outcomes: " + ", ".join(f"{k} {v}" for k, v in outcomes.items())
 
 
 def solve(req: SolveRequest) -> SolveResult:
@@ -356,12 +355,14 @@ def solve(req: SolveRequest) -> SolveResult:
     in blocks of ``_BLOCK`` under ``early_stop``.  The starts are scanned in
     their drawn order, or under ``early_stop`` in increasing K t while their
     block still runs.  Starts that stall after the Levenberg fallback stop
-    early, as not converged.  Converged roots are canonicalized and checked
-    against the bounds and the tolerance; the tolerance check re-evaluates
-    the same ``_residual_rows`` that Newton drove below 1e-10, so it is not
-    an independent check.  Roots are then deduplicated both by parameter
-    distance and by invariant-curve signature, and sorted by arrival time.
-    Raises InfeasibleTarget when no start converges at all.
+    early, as not converged.  Each converged start is canonicalized by the
+    sign folds (exact symmetries of the residual) and screened in this order:
+    outside the bounds, within ``_DEDUP_RADIUS`` of an accepted root in every
+    parameter, the forward check, then the orbit signature of an accepted
+    root.  The forward check compares the endpoint invariants of the
+    signature, evaluated through the algebra, and the level defect with
+    ``tolerance``.  The roots are sorted by arrival time.  Raises
+    InfeasibleTarget, naming the start outcomes, when no root is accepted.
     """
     spec = _spec(req.model)
     target = np.asarray(req.target, float)
@@ -394,13 +395,14 @@ def solve(req: SolveRequest) -> SolveResult:
         k, t = u[0], u[-1]
         if not (0.0 < k <= req.k_max and 0.0 < t <= req.t_max):
             return "out_of_bounds"
-        res = f(u[None])[0]
-        rnorm = float(np.max(np.abs(res)))
-        if rnorm > req.tolerance:
-            return "over_tolerance"
         if any(np.max(np.abs(u - r[0])) <= _DEDUP_RADIUS for r in roots):
             return "duplicate_params"
         sig = _orbit_signature(spec, u)
+        # the forward check: the endpoint invariants through the algebra
+        res = np.append(sig[-len(target):] - target, spec.level(*u[:-1]) - 1.0)
+        rnorm = float(np.max(np.abs(res)))
+        if not rnorm <= req.tolerance:  # a NaN residual fails too
+            return "over_tolerance"
         scale = max(1.0, float(np.max(np.abs(sig))))
         if any(np.max(np.abs(sig - s)) <= 1e-6 * scale for s in signatures):
             return "duplicate_orbit"
@@ -431,10 +433,11 @@ def solve(req: SolveRequest) -> SolveResult:
     outcomes["not_scanned"] = len(starts) - attempted
     converged = attempted - outcomes["not_converged"]
 
-    if converged == 0:
+    if not roots:
+        counts = ", ".join(f"{k} {v}" for k, v in outcomes.items())
         raise InfeasibleTarget(
-            "no start converged; the target may be outside the sampled "
-            f"reachable set or the bounds too tight ({_outcome_text(outcomes)})"
+            "no root accepted: the target may lie outside the sampled reachable set, "
+            f"or the bounds or the tolerance are too tight; start outcomes: {counts}"
         )
 
     roots.sort(key=lambda r: r[0][-1])

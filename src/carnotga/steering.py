@@ -22,7 +22,7 @@ from .flags import align_flags, frame_flag_36, frame_flag_47
 from .ga import Multivector, Rotor, blade_index, sandwich
 from .models import Model, _as_model, _spec, invariants
 from .models import representative_geodesic_36, representative_geodesic_47
-from .solver import SolveOptions, SolveRequest, _outcome_text, solve
+from .solver import SolveOptions, SolveRequest, solve
 
 
 @dataclass(kw_only=True)
@@ -121,8 +121,8 @@ def compute_invariants(model, mv: Multivector) -> tuple:
 def steer(model, target: Multivector, options: SteerOptions | None = None) -> SteerReport:
     """Run the full pipeline for one target point.
 
-    Raises InfeasibleTarget when the moduli solve fails or the endpoint
-    misses the acceptance bound, and DegenerateConfiguration when the
+    Raises InfeasibleTarget when the moduli solve accepts no root or the
+    endpoint misses the acceptance bound, and DegenerateConfiguration when the
     target does not define a usable flag (remedy: perturb the target).
     """
     model = _as_model(model)
@@ -132,11 +132,6 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
 
     shared = {f.name: getattr(opts, f.name) for f in fields(SolveOptions)}
     result = solve(SolveRequest(model=model, target=inv, **shared))
-    if not result.solutions:
-        raise InfeasibleTarget(
-            "all converged roots fell outside the bounds or tolerance "
-            f"({_outcome_text(result.start_outcomes)})"
-        )
     chosen = result.solutions[0]  # minimal arrival time
     params = chosen.params
 

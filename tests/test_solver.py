@@ -4,7 +4,7 @@ roots, round trips, determinism, and the RK4 oracle."""
 import contextlib
 import time
 import warnings
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -28,10 +28,10 @@ from carnotga import (
     rk4_endpoints,
     solve,
 )
-from carnotga.models import _spec, invariants
+from carnotga.models import _SPECS, _spec, invariants
 from carnotga import solver
 from carnotga.solver import (
-    _BIG, _OUTCOMES, _latin_hypercube, _newton, _norms, _residual_rows, _starts)
+    _BIG, _OUTCOMES, _canonicalize, _latin_hypercube, _newton, _norms, _residual_rows, _starts)
 from conftest import REF36_CONSTANTS, REF36_INVARIANTS, REF47_CONSTANTS, REF47_INVARIANTS
 from test_acceptance import _flag_margin_36, _flag_margin_47
 from test_models import params36, params47, random_params36, random_params47
@@ -106,6 +106,22 @@ def test_residual_rows_stack_equals_single_rows(rng):
             inv = invariants(model, spec.geodesic_mv(u, u[-1])).as_tuple()
             assert np.all(row[:-1] == np.array(inv) - target)
             assert row[-1] == spec.level(*u[:-1]) - 1.0
+
+
+def test_sign_folds_are_exact_symmetries_of_the_residual(rng):
+    # solve screens the canonical image of a converged start, so each sign
+    # fold must keep every residual entry's bits
+    for model in Model:
+        spec = _spec(model)
+        U = rng.uniform(-3.0, 3.0, size=(2000, len(spec.param_names)))
+        target = rng.uniform(-5.0, 5.0, size=len(spec.invariant_names))
+        want = _residual_rows(spec, U, target).tobytes()
+        joint, folded = U.copy(), U.copy()
+        joint[:, [0, 2]] *= -1.0
+        folded[:, spec.fold_abs] *= -1.0
+        canonical = np.array([_canonicalize(spec, u) for u in U])
+        for image in (joint, folded, canonical):
+            assert _residual_rows(spec, image, target).tobytes() == want
 
 
 # --------------------------------------------------------------------------
@@ -314,6 +330,14 @@ def test_start_outcomes():
         assert sum(out.values()) == 64
 
 
+def test_orbit_signature_merges_roots_of_one_curve():
+    # a straight segment of length 1 (x.x = 1, z = 0): a root with D = 0
+    # leaves K free, so starts converge to roots far apart in K that trace one
+    # curve; the parameter dedup keeps them apart, the orbit signature merges them
+    result = solve(SolveRequest(model=Model.M36, target=(1.0, 0.0, 0.0)))
+    assert tuple(result.start_outcomes.values()) == (1, 4, 50, 0, 0, 9, 0)
+
+
 def _criterion_9_targets(count: int) -> list:
     """``count`` invariant targets per model drawn as criterion 9 draws them:
     forward-generated endpoints kept 5e-2 from the collinearity locus (its
@@ -400,8 +424,8 @@ def _outcome_or_raise(req):
 
 def test_early_stop_keeps_feasibility(monkeypatch):
     # early_stop=1 accepts the first start that passes the bounds and the
-    # tolerance, whatever the order; so it raises, or finds no root, exactly
-    # when the exhaustive solve does, and then with the same outcomes
+    # tolerance, whatever the order; so it raises exactly when the exhaustive
+    # solve does, and then with the same message and outcomes
     newton = solver._newton
     iterations = []  # Newton iterations of the current solve
 
@@ -434,13 +458,13 @@ def test_early_stop_keeps_feasibility(monkeypatch):
         got = _outcome_or_raise(SolveRequest(model=model, target=target, early_stop=1, **knobs))
         if cap is not None:
             assert isinstance(want, str) and max(exhaustive, sum(iterations)) <= cap
-        if isinstance(want, str) or not want[0]:
+        if isinstance(want, str):
             assert got == want
-            kinds.add("infeasible" if isinstance(want, str) else "empty")
+            kinds.add("infeasible")
         else:
             assert not isinstance(got, str) and len(got[0]) == 1
             kinds.add("solved")
-    assert kinds == {"infeasible", "empty", "solved"}
+    assert kinds == {"infeasible", "solved"}
 
 
 def test_solve_results_do_not_depend_on_batch_size(monkeypatch):
@@ -506,6 +530,22 @@ def test_solve_forward_check(rng):
         assert np.max(np.abs(np.array(got) - np.array(target))) < 1e-6
 
 
+def test_solve_forward_check_can_fail(monkeypatch):
+    # closed forms that miss the algebra by 1e-6 in one invariant: Newton
+    # solves the biased system, and the algebra evaluation of every converged
+    # root in the bounds misses the target
+    for model, target in ((Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)):
+        spec = _spec(model)
+
+        def biased(cols, out, exact=spec.invariant_cols):
+            exact(cols, out)
+            out[:, 1] += 1e-6
+
+        monkeypatch.setitem(_SPECS, model, replace(spec, invariant_cols=biased))
+        with pytest.raises(InfeasibleTarget, match=r"accepted 0, .* over_tolerance [1-9]"):
+            solve(SolveRequest(model=model, target=target))
+
+
 def test_solve_roundtrip_47(rng):
     p = random_params47(rng)
     target = invariants_47(representative_geodesic_47(p, p.t_final)).as_tuple()
@@ -555,6 +595,20 @@ def test_solve_request_validation():
     knobs = [f for f in fields(SolveRequest) if f.name not in ("model", "target")]
     assert len(knobs) == 6
     assert all(getattr(SteerOptions(), f.name) == f.default for f in knobs)
+
+
+def test_k_starts_lie_in_the_search_box():
+    # the K starts spread over (0, k_max] for every bound; from k_max 0.1 up
+    # they start at 0.05 and keep the draws they always had
+    for model, target in ((Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)):
+        spec = _spec(model)
+        raw = _latin_hypercube(64, len(spec.param_names) - 1, 0)[:, 0]
+        for k_max in (1e-3, 0.01, 0.04, 0.05, 0.1, 10.0):
+            k0 = _starts(SolveRequest(model=model, target=target, k_max=k_max), spec)[:, 0]
+            assert np.all((k0 > 0.0) & (k0 <= k_max))
+            assert len(np.unique(k0)) == 64
+            if k_max >= 0.1:
+                assert k0.tobytes() == (0.05 + raw * (k_max - 0.05)).tobytes()
 
 
 def test_latin_hypercube_matches_scipy():

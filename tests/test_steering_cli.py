@@ -329,7 +329,7 @@ def test_cli_infeasible_names_start_outcomes(tmp_path, capsys):
     target = _target_file(tmp_path, REF36_TARGET, "36")
     assert main(["steer", "--target", target, "--starts", "16", "--kmax", "0.5"]) == EXIT_INFEASIBLE
     err = capsys.readouterr().err
-    assert err.startswith("infeasible: all converged roots fell outside the bounds or tolerance")
+    assert err.startswith("infeasible: no root accepted")
     assert "start outcomes: accepted 0, not_converged 5, out_of_bounds 11," in err
 
 
