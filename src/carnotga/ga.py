@@ -127,7 +127,7 @@ class Multivector:
         arr = np.array(coeffs, dtype=float)
         if arr.shape != (1 << dim,):
             raise ValueError(f"expected {1 << dim} coefficients, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("non-finite multivector coefficient")
         arr.flags.writeable = False
         object.__setattr__(self, "dim", dim)

@@ -28,6 +28,7 @@ from .models import Model, _as_model, _spec
 _BIG = 1e12
 _DEDUP_RADIUS = 1e-6  # roots this close in every raw parameter count as one
 _HALVINGS = 0.5 ** np.arange(21)  # line-search step sizes 1 down to 2^-20
+_ARMIJO = 1.0 - 1e-4 * _HALVINGS  # the norm fraction each step size must beat
 # starts per Newton batch under early_stop; a block ends once its settled
 # starts, scanned in order, hold the roots asked for.  Medians of two runs
 # of 12 and 16 interleaved passes over the benchmark's 48 round-trip
@@ -69,7 +70,9 @@ def _residual_rows(spec, U: np.ndarray, target: np.ndarray) -> np.ndarray:
         spec.invariant_cols(vals, out)
         out[:, :-1] -= target
         out[:, -1] = spec.level(*cols[:-1]) - 1.0
-        out[(np.abs(cols[0]) < 1e-10) | ~np.isfinite(vals).all(axis=0)] = _BIG
+        bad = (np.abs(cols[0]) < 1e-10) | ~np.isfinite(vals).all(axis=0)
+        if bad.any():
+            out[bad] = _BIG
     return out
 
 
@@ -88,9 +91,8 @@ def residual(model, params, t: float, target) -> np.ndarray:
 def _norms(F: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row along the last axis; matmul sums every row
     as ``np.linalg.norm`` sums a single vector (``axis=`` sums in another order);
-    a row too large to square has norm inf."""
-    with np.errstate(over="ignore"):
-        return np.sqrt((F[..., None, :] @ F[..., :, None])[..., 0, 0])
+    a row too large to square has norm inf (``_newton`` silences the overflow)."""
+    return np.sqrt((F[..., None, :] @ F[..., :, None])[..., 0, 0])
 
 
 def _line_search(f, U, FU, steps):
@@ -101,7 +103,7 @@ def _line_search(f, U, FU, steps):
     n, d = U.shape
     cands = U[:, None, :] + _HALVINGS[:, None] * steps[:, None, :]
     fcs = f(cands.reshape(-1, d)).reshape(n, len(_HALVINGS), FU.shape[1])
-    passed = _norms(fcs) < (1.0 - 1e-4 * _HALVINGS) * _norms(FU)[:, None]
+    passed = _norms(fcs) < _ARMIJO * _norms(FU)[:, None]
     moved = passed.any(axis=1)
     rows = np.flatnonzero(moved)
     first = passed.argmax(axis=1)[rows]
@@ -133,6 +135,7 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, lstsq: bool) -> np.ndarray:
     return out
 
 
+@np.errstate(all="ignore")  # one error context for the run: overflowed rows stop on NaN steps
 def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None):
     """Damped Newton with central-difference Jacobian and halving line search,
     run on a stack of starts ``(S, d)`` at once with per-start active masks.
@@ -158,15 +161,16 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
     FU = f(U)
     S, d = U.shape
     diag_idx = np.arange(d)
+    pm_rows, pm_cols = np.arange(2 * d), np.tile(diag_idx, 2)  # the +h, then the -h entries
     its = np.zeros(S, int)
     active = np.ones(S, bool)
     peak = np.empty((max_iter, S))  # largest residual entry per iteration and start
     levenberg = np.zeros(S, bool)  # starts that have taken the fallback
     for it in range(max_iter):
-        peak[it] = np.max(np.abs(FU), axis=1)
+        peak[it] = np.abs(FU).max(axis=1)
         ok = peak[it] < tol
         active &= ~ok
-        if it >= _STALL_WINDOW:
+        if it >= _STALL_WINDOW and levenberg.any():
             active &= ~(levenberg & (peak[it] > (1.0 - _STALL_DROP) * peak[it - _STALL_WINDOW]))
         if scan is not None and scan(U, ok, active):
             break
@@ -177,19 +181,18 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
         u, fu = U[rows], FU[rows]
         h = 1e-7 * np.maximum(1.0, np.abs(u))
         stencil = np.repeat(u[:, None, :], 2 * d, axis=1)
-        stencil[:, diag_idx, diag_idx] += h
-        stencil[:, d + diag_idx, diag_idx] -= h
+        stencil[:, pm_rows, pm_cols] += np.concatenate((h, -h), axis=1)
         fs = f(stencil.reshape(-1, d)).reshape(len(rows), 2 * d, fu.shape[1])
         # row j of the difference is column j of the Jacobian; copied C-contiguous
         # because a transposed view sends jac.T @ jac down another BLAS path; an
         # overflowed residual gives inf - inf, and its start stops on the NaN step
-        with np.errstate(invalid="ignore"):
-            jac = np.ascontiguousarray(
-                ((fs[:, :d] - fs[:, d:]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1))
+        jac = np.ascontiguousarray(
+            ((fs[:, :d] - fs[:, d:]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1))
         step = _solve_rows(jac, -fu, lstsq=True)
-        finite = np.all(np.isfinite(step), axis=1)
-        active[rows[~finite]] = False
-        rows, u, fu, jac, step = rows[finite], u[finite], fu[finite], jac[finite], step[finite]
+        finite = np.isfinite(step).all(axis=1)
+        if not finite.all():
+            active[rows[~finite]] = False
+            rows, u, fu, jac, step = rows[finite], u[finite], fu[finite], jac[finite], step[finite]
         u, fu, moved = _line_search(f, u, fu, step)
         stuck = np.flatnonzero(~moved)
         levenberg[rows[stuck]] = True
@@ -203,7 +206,7 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
             for mu in (1e-8, 1e-4, 1e-2, 1.0, 1e2):
                 cand = np.flatnonzero(left)
                 step = _solve_rows(jtj[cand] + mu * diag[cand], -jtf[cand], lstsq=False)
-                usable = np.all(np.isfinite(step), axis=1)
+                usable = np.isfinite(step).all(axis=1)
                 cand, step = cand[usable], step[usable]
                 if not len(cand):
                     continue
@@ -215,7 +218,7 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
             moved[stuck[~left]] = True
         U[rows], FU[rows] = u, fu
         active[rows[~moved]] = False
-    return U, FU, np.max(np.abs(FU), axis=1) < tol, its
+    return U, FU, np.abs(FU).max(axis=1) < tol, its
 
 
 @dataclass(kw_only=True)
@@ -337,15 +340,17 @@ def _canonicalize(spec, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _orbit_signature(spec, u: np.ndarray) -> np.ndarray:
+def _orbit_signature(spec, u: np.ndarray, end) -> np.ndarray:
     """Invariant curve fingerprint used to identify orbit-equivalent roots,
-    from the algebra evaluation that the closed forms are checked against;
-    it ends with the invariants of the endpoint."""
+    from the algebra evaluation that the closed forms are checked against:
+    the arrival time, then the invariants at a quarter, half and three
+    quarters of it, then ``end``, those of the endpoint, which the forward
+    check of ``solve`` has already evaluated."""
     t = u[-1]
     sig = [t]
-    for frac in (0.25, 0.5, 0.75, 1.0):
+    for frac in (0.25, 0.5, 0.75):
         sig.extend(spec.ga_invariants(spec.geodesic_mv(u, frac * t), _GA))
-    return np.array(sig)
+    return np.array(sig + list(end))
 
 
 def solve(req: SolveRequest) -> SolveResult:
@@ -359,10 +364,14 @@ def solve(req: SolveRequest) -> SolveResult:
     sign folds (exact symmetries of the residual) and screened in this order:
     outside the bounds, within ``_DEDUP_RADIUS`` of an accepted root in every
     parameter, the forward check, then the orbit signature of an accepted
-    root.  The forward check compares the endpoint invariants of the
-    signature, evaluated through the algebra, and the level defect with
-    ``tolerance``.  The roots are sorted by arrival time.  Raises
-    InfeasibleTarget, naming the start outcomes, when no root is accepted.
+    root.  The forward check compares the endpoint invariants, evaluated
+    through the algebra, and the level defect with ``tolerance``.  A
+    candidate's orbit signature adds three more algebra evaluations and is
+    built only once a root has been accepted to compare it with; a root's
+    own signature is built the first time a later candidate needs it, so a
+    solve that accepts one root (``early_stop=1``) builds none.  The roots
+    are sorted by arrival time.  Raises InfeasibleTarget, naming the start
+    outcomes, when no root is accepted.
     """
     spec = _spec(req.model)
     target = np.asarray(req.target, float)
@@ -384,8 +393,12 @@ def solve(req: SolveRequest) -> SolveResult:
         rows += len(U)
         return _residual_rows(spec, U, target)
 
-    roots = []
-    signatures = []
+    roots = []  # [u, residual norm, endpoint invariants, orbit signature or None]
+
+    def signature(root) -> np.ndarray:
+        if root[3] is None:
+            root[3] = _orbit_signature(spec, root[0], root[2])
+        return root[3]
 
     def screen(u, ok) -> str:
         """The outcome of one start; an accepted root is kept."""
@@ -395,19 +408,21 @@ def solve(req: SolveRequest) -> SolveResult:
         k, t = u[0], u[-1]
         if not (0.0 < k <= req.k_max and 0.0 < t <= req.t_max):
             return "out_of_bounds"
-        if any(np.max(np.abs(u - r[0])) <= _DEDUP_RADIUS for r in roots):
+        if any(np.abs(u - r[0]).max() <= _DEDUP_RADIUS for r in roots):
             return "duplicate_params"
-        sig = _orbit_signature(spec, u)
         # the forward check: the endpoint invariants through the algebra
-        res = np.append(sig[-len(target):] - target, spec.level(*u[:-1]) - 1.0)
-        rnorm = float(np.max(np.abs(res)))
+        end = spec.ga_invariants(spec.geodesic_mv(u, t), _GA)
+        res = np.append(np.subtract(end, target), spec.level(*u[:-1]) - 1.0)
+        rnorm = float(np.abs(res).max())
         if not rnorm <= req.tolerance:  # a NaN residual fails too
             return "over_tolerance"
-        scale = max(1.0, float(np.max(np.abs(sig))))
-        if any(np.max(np.abs(sig - s)) <= 1e-6 * scale for s in signatures):
-            return "duplicate_orbit"
-        roots.append((u, rnorm))
-        signatures.append(sig)
+        root = [u, rnorm, end, None]
+        if roots:
+            sig = signature(root)
+            scale = max(1.0, float(np.abs(sig).max()))
+            if any(np.abs(sig - signature(r)).max() <= 1e-6 * scale for r in roots):
+                return "duplicate_orbit"
+        roots.append(root)
         return "accepted"
 
     outcomes = dict.fromkeys(_OUTCOMES, 0)
@@ -443,7 +458,7 @@ def solve(req: SolveRequest) -> SolveResult:
     roots.sort(key=lambda r: r[0][-1])
     sols = [
         SolveSolution(params=spec.params_cls(*(float(v) for v in u)), residual_norm=rnorm)
-        for u, rnorm in roots
+        for u, rnorm, _, _ in roots
     ]
     return SolveResult(tuple(sols), attempted, converged, rows, iterations, outcomes)
 

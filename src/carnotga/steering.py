@@ -121,25 +121,27 @@ def compute_invariants(model, mv: Multivector) -> tuple:
 def steer(model, target: Multivector, options: SteerOptions | None = None) -> SteerReport:
     """Run the full pipeline for one target point.
 
-    Raises InfeasibleTarget when the moduli solve accepts no root or the
-    endpoint misses the acceptance bound, and DegenerateConfiguration when the
-    target does not define a usable flag (remedy: perturb the target).
+    Raises DegenerateConfiguration when the target does not define a usable
+    flag (remedy: perturb the target), before any solve, so a target that is
+    both degenerate and unreachable raises it; and InfeasibleTarget when the
+    moduli solve accepts no root or the endpoint misses the acceptance bound.
     """
     model = _as_model(model)
     spec = _spec(model)
     opts = options or SteerOptions()
     inv = compute_invariants(model, target)
+    # flag degeneracy is an invariant condition, so the representative is
+    # degenerate exactly when the target is: its flag is built first, and a
+    # degenerate target raises without a solve that no root could rescue
+    flag, geodesic = _bound(spec.flag), _bound(spec.geodesic)
+    target_flag = flag(target)
 
     shared = {f.name: getattr(opts, f.name) for f in fields(SolveOptions)}
     result = solve(SolveRequest(model=model, target=inv, **shared))
     chosen = result.solutions[0]  # minimal arrival time
     params = chosen.params
-
-    # flag degeneracy is an invariant condition, so the representative is
-    # degenerate exactly when the target is; no fallback root would help
-    flag, geodesic = _bound(spec.flag), _bound(spec.geodesic)
     origin_end = geodesic(params, params.t_final)
-    rotor = align_flags(flag(origin_end.mv), flag(target))
+    rotor = align_flags(flag(origin_end.mv), target_flag)
 
     times = np.linspace(0.0, params.t_final, opts.samples)
     raw = spec.geodesic_raw(*astuple(params)[:-1], times)

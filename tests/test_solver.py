@@ -18,9 +18,11 @@ from carnotga import (
     SolveRequest,
     SteerOptions,
     aligned_fiber_inputs,
+    compute_invariants,
     invariants_36,
     invariants_47,
     omega_matrix,
+    point_from_blade_map,
     representative_geodesic_36,
     representative_geodesic_47,
     residual,
@@ -194,7 +196,8 @@ def test_newton_stack_equals_single_starts(monkeypatch):
             return _residual_rows(spec, U, target)
 
         calls.clear()
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflowed start warns nothing
             U, FU, ok, its = _newton(lambda U: f(U, 0), U0)
             singles = [_newton(lambda U, k=k: f(U, k), u0[None]) for k, u0 in enumerate(U0, 1)]
         assert any(not newton for newton, _ in calls)  # Levenberg steps taken
@@ -206,6 +209,26 @@ def test_newton_stack_equals_single_starts(monkeypatch):
         assert counted[0] == sum(counted[1:])
         # the start with the non-finite step stops before any line search
         assert ok.any() and not ok[5] and its[5] == 1 and counted[6] == 1 + 2 * len(U0[5])
+
+
+def test_solve_lets_no_warning_escape():
+    # overflowed residuals, Jacobians and steps stop their starts silently:
+    # a target point with coordinates near 1e150 (invariants near 1e300) and
+    # a K bound of 1e300, under both scans
+    points = ((Model.M36, {"e1": 1e150, "e2": -2e150, "e3": 3e150, "e12": 1e150, "e13": -2e150,
+                           "e23": 2e150}),
+              (Model.M47, {"e1": 1e150, "e2": 2e150, "e3": 1e150, "e4": 3e150, "e12": -1e150,
+                           "e13": 2e150, "e14": 2e150}))
+    cases = [(model, compute_invariants(model, point_from_blade_map(model, point)), {})
+             for model, point in points]
+    cases += [(Model.M36, REF36_INVARIANTS, {"k_max": 1e300}),
+              (Model.M47, REF47_INVARIANTS, {"k_max": 1e300})]
+    for model, target, knobs in cases:
+        for early_stop in (None, 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _outcome_or_raise(SolveRequest(model=model, target=target, early_stop=early_stop,
+                                               **knobs))
 
 
 def _creep(U):
@@ -241,7 +264,8 @@ def test_newton_stops_stalled_starts_after_the_fallback(monkeypatch):
     singles = []
     for u0 in starts:
         levenberg.clear()
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the non-finite starts warn nothing
             singles.append(_newton(_creep, u0[None]))
         singles[-1] += (any(levenberg),)
     U, FU, ok, its = (np.concatenate([r[k] for r in singles]) for k in range(4))
@@ -254,7 +278,8 @@ def test_newton_stops_stalled_starts_after_the_fallback(monkeypatch):
     assert drop[0] < solver._STALL_DROP and drop[1] < solver._STALL_DROP <= drop[2]
     assert np.isnan(FU[3]).any() and np.isinf(FU[4]).any()
     # the rule is per start, so a stack that mixes these rows gives each its bits
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         stacked = _newton(_creep, starts)
     for got, want in zip(stacked, (U, FU, ok, its)):
         assert got.tobytes() == want.tobytes()
@@ -384,6 +409,36 @@ def test_early_stop_ends_the_block_at_the_scanned_root(monkeypatch):
     assert model is Model.M36 and got.starts_attempted == 1
     assert got.residual_rows < want.residual_rows
     assert got.newton_iterations < want.newton_iterations
+
+
+def test_early_stop_roots_keep_their_bits():
+    # the early-stop path end to end, bit for bit: root and residual norm by
+    # float.hex, then start outcomes, Newton iterations and residual rows
+    cases = (
+        (("0x1.42eb9025d100fp+0", "0x1.d8520fdd71e86p-2", "-0x1.c6483eb4b79dfp-1",
+          "0x1.f3dcd5a28567dp+2"), "0x1.8000000000000p-49", (1, 1, 0, 0, 0, 0, 62), 89, 3047),
+        (("0x1.16fe6f37cd968p+0", "0x1.2930614a40d95p-1", "-0x1.a0eba636ec4b6p-1",
+          "0x1.0794ddfd283fep+3"), "0x1.0000000000000p-50", (1, 0, 0, 0, 0, 0, 63), 40, 1164),
+        (("0x1.1143cb38d8912p+0", "0x1.c109dad20f721p-2", "-0x1.cc2596d093298p-1",
+          "0x1.0bf7f434dc8ddp+2"), "0x1.0000000000000p-50", (1, 0, 0, 0, 0, 0, 63), 35, 1019),
+        (("0x1.3afa5e93b879cp+0", "0x1.3cc1d4b3bf73ap-2", "0x1.4ef8930a7a826p-2",
+          "0x1.aa4503956cbcbp-1", "0x1.db226091711ddp+2"), "0x1.4000000000000p-47",
+         (1, 0, 0, 0, 0, 0, 63), 49, 1523),
+        (("0x1.1cc610d7e5058p+0", "0x1.0f74f6b9f2823p-3", "0x1.be07d63f575fep-1",
+          "0x1.954e1e213577fp-3", "0x1.46b2ba8f50a44p+2"), "0x1.0000000000000p-49",
+         (1, 0, 0, 0, 0, 0, 63), 49, 1523),
+        (("0x1.ec650483d79ecp-2", "-0x1.0ee00a59b3df2p-1", "0x1.d8aae1213fb8bp-2",
+          "0x1.e1f0140b0863ep-1", "0x1.16beb7a7abe26p+2"), "0x1.027c000000000p-39",
+         (1, 1, 0, 0, 0, 0, 62), 66, 2134),
+    )
+    for (model, target), (root, rnorm, outcomes, iterations, rows) in zip(
+            _criterion_9_targets(3), cases):
+        result = solve(SolveRequest(model=model, target=target, early_stop=1))
+        (sol,) = result.solutions
+        assert tuple(float(v).hex() for v in astuple(sol.params)) == root
+        assert float(sol.residual_norm).hex() == rnorm
+        assert tuple(result.start_outcomes.values()) == outcomes
+        assert (result.newton_iterations, result.residual_rows) == (iterations, rows)
 
 
 def test_early_stop_scans_starts_by_winding(monkeypatch):

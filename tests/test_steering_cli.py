@@ -18,6 +18,7 @@ from carnotga import (
     DegenerateConfiguration,
     DependentVectors,
     FlagMismatch,
+    InfeasibleTarget,
     Model,
     Multivector,
     NearZeroNorm,
@@ -358,6 +359,20 @@ def test_cli_infinite_bounds_rejected_without_warning(tmp_path, capsys):
 def test_cli_exit_degenerate(tmp_path):
     bad = _target_file(tmp_path, {"e1": 1.0, "e2": 2.0}, "36")  # no bivector part
     assert main(["steer", "--target", bad]) == EXIT_DEGENERATE
+
+
+def test_degenerate_target_raises_before_the_solve(tmp_path, monkeypatch):
+    # flag degeneracy is a condition on the target's invariants, so steer
+    # checks it before the solve: a straight segment of either model raises
+    # DegenerateConfiguration (exit 3) even where the solve would fail (exit 2)
+    def fail(req):
+        raise InfeasibleTarget("the solve ran")
+
+    monkeypatch.setattr("carnotga.steering.solve", fail)
+    for model, point in (("36", {"e1": 2.0}), ("47", {"e2": 2.0})):
+        with pytest.raises(DegenerateConfiguration):
+            steer(model, point_from_blade_map(model, point))
+        assert main(["steer", "--target", _target_file(tmp_path, point, model)]) == EXIT_DEGENERATE
 
 
 def test_cli_maps_every_package_error(tmp_path, monkeypatch, capsys):

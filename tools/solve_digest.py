@@ -1,0 +1,114 @@
+"""Print one sha256 digest per group of moduli solves.
+
+Two checkouts that print the same lines solve every target of every group to
+the same bits: each solve contributes the hex form of every root parameter
+and residual norm, the start outcomes, the Newton iterations, the residual
+rows and the start counts, or the text of the InfeasibleTarget it raised.
+Every target is solved exhaustively and with ``early_stop=1``.  The groups:
+
+- ``documented``: the two documented worked targets;
+- ``forward``: 48 forward-generated targets, 24 per model, drawn as the
+  benchmark's round-trip pool draws them (generator seed 0, endpoints kept
+  5e-2 from the collinearity locus where the flags degenerate);
+- ``random``: 10 invariant tuples drawn uniformly from [-10, 10] (generator
+  seed 91, models alternating), most of them unreachable;
+- ``straight``: straight segments of length 1, 5 and 9 per model, where a
+  root leaves K free and the orbit-signature dedup merges roots.
+
+Uses numpy and the standard library only.  Run from the repository root:
+
+    PYTHONPATH=src python3 tools/solve_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import astuple
+
+import numpy as np
+
+from carnotga import (
+    GeodesicParams36,
+    GeodesicParams47,
+    InfeasibleTarget,
+    Model,
+    SolveRequest,
+    invariants_36,
+    invariants_47,
+    representative_geodesic_36,
+    representative_geodesic_47,
+    solve,
+)
+
+DOCUMENTED = ((Model.M36, (14.0, -9.0, 3.0)), (Model.M47, (1.0, 14.0, -6.0, -9.0)))
+
+
+def _flag_margin(model: Model, point) -> float:
+    """Distance of an endpoint from the collinearity locus (0 when a part vanishes)."""
+    a, b = (point.x_coords, point.z_vector) if model is Model.M36 else (point.l_coords, point.y_coords)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na < 1e-6 or nb < 1e-6:
+        return 0.0
+    a, b = a / na, b / nb
+    cross = float(np.linalg.norm(np.cross(a, b)))
+    return cross if model is Model.M36 else min(abs(float(a @ b)), cross)
+
+
+def forward_targets() -> list:
+    """Invariants of 24 forward-generated endpoints per model."""
+    rng = np.random.default_rng(0)
+    targets = []
+    for _ in range(24):
+        for model in Model:
+            while True:
+                k, angle, t = rng.uniform(0.3, 3.0), rng.uniform(0.15, np.pi - 0.15), rng.uniform(1.0, 9.0)
+                if model is Model.M36:
+                    params = GeodesicParams36(k, np.sin(angle), np.cos(angle), t)
+                    point, inv = representative_geodesic_36(params, t), invariants_36
+                else:
+                    psi, r = rng.uniform(0.0, 2.0 * np.pi), np.sin(angle) / k
+                    params = GeodesicParams47(k, r * np.cos(psi), r * np.sin(psi), np.cos(angle), t)
+                    point, inv = representative_geodesic_47(params, t), invariants_47
+                if _flag_margin(model, point) >= 5e-2:
+                    targets.append((model, inv(point).as_tuple()))
+                    break
+    return targets
+
+
+def random_targets() -> list:
+    rng = np.random.default_rng(91)
+    models = [Model.M36, Model.M47] * 5
+    return [(m, tuple(rng.uniform(-10.0, 10.0, size=3 if m is Model.M36 else 4))) for m in models]
+
+
+def straight_targets() -> list:
+    return [(m, (L * L, 0.0, 0.0) if m is Model.M36 else (0.0, L * L, 0.0, 0.0))
+            for m in Model for L in (1.0, 5.0, 9.0)]
+
+
+def solve_line(model: Model, target: tuple, early_stop) -> str:
+    """Every bit of one solve, as one line of text."""
+    head = f"{model.value} {' '.join(float(v).hex() for v in target)} {early_stop}"
+    try:
+        result = solve(SolveRequest(model=model, target=target, early_stop=early_stop))
+    except InfeasibleTarget as exc:
+        return f"{head} infeasible {exc}"
+    roots = ";".join(" ".join(float(v).hex() for v in (*astuple(s.params), s.residual_norm))
+                     for s in result.solutions)
+    return (f"{head} {roots} {sorted(result.start_outcomes.items())} {result.starts_attempted} "
+            f"{result.converged} {result.newton_iterations} {result.residual_rows}")
+
+
+def main() -> None:
+    groups = (("documented", DOCUMENTED), ("forward", forward_targets()),
+              ("random", random_targets()), ("straight", straight_targets()))
+    for name, targets in groups:
+        h = hashlib.sha256()
+        for model, target in targets:
+            for early_stop in (None, 1):
+                h.update((solve_line(model, target, early_stop) + "\n").encode())
+        print(f"{name:<10} {2 * len(targets):3d} solves  sha256 {h.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
