@@ -81,16 +81,16 @@ class _ModelPoint:
         if coeffs is not self.mv.coeffs:
             object.__setattr__(self, "mv", Multivector(spec.dim, coeffs))
 
+    @classmethod
+    def origin(cls):
+        return cls(Multivector.zero(_SPECS[cls._model].dim))
+
 
 @dataclass(frozen=True)
 class Model36Point(_ModelPoint):
     """Group element of the 6-dimensional model, stored as q = x + z in G_3."""
 
     _model = Model.M36
-
-    @classmethod
-    def origin(cls) -> "Model36Point":
-        return cls(Multivector.zero(3))
 
     @classmethod
     def from_parts(cls, x_coords, z_coeffs) -> "Model36Point":
@@ -120,10 +120,6 @@ class Model47Point(_ModelPoint):
     _model = Model.M47
 
     @classmethod
-    def origin(cls) -> "Model47Point":
-        return cls(Multivector.zero(4))
-
-    @classmethod
     def from_parts(cls, x: float, l_coords, y_coords) -> "Model47Point":
         return cls(_SPECS[Model.M47].mv(np.concatenate([[x], l_coords, y_coords])))
 
@@ -145,12 +141,19 @@ class Model47Point(_ModelPoint):
 # group structure
 
 
+def _group_product(model, p, q):
+    """q q' = q + q' + (1/2) h ^ h' with h, h' the grade-1 parts: the bracket
+    of the distribution is the wedge of the horizontal parts, kept on the
+    model's bivector blades (the involutive complement of 47 drops l ^ l')."""
+    spec = _spec(model)
+    a, b = spec.point_mv(p), spec.point_mv(q)
+    wedge = outer_product(grade_project(a, 1), grade_project(b, 1)).coeffs
+    return spec.point_cls(a + b + 0.5 * Multivector(spec.dim, np.where(spec.off, 0.0, wedge)))
+
+
 def group_product_36(p: Model36Point, q: Model36Point) -> Model36Point:
     """Group law (x, z) (x', z') = (x + x', z + z' + (1/2) x ^ x')."""
-    xp = grade_project(p.mv, 1)
-    xq = grade_project(q.mv, 1)
-    z = grade_project(p.mv, 2) + grade_project(q.mv, 2) + 0.5 * outer_product(xp, xq)
-    return Model36Point(xp + xq + z)
+    return _group_product(Model.M36, p, q)
 
 
 def group_inverse_36(p: Model36Point) -> Model36Point:
@@ -158,22 +161,8 @@ def group_inverse_36(p: Model36Point) -> Model36Point:
 
 
 def group_product_47(p: Model47Point, q: Model47Point) -> Model47Point:
-    """Group law (x, l, y) (x', l', y') = (x + x', l + l', y + y' + (1/2)(x l' - x' l)).
-
-    The vertical correction comes from the bracket [x Y_0 + l, x' Y_0 + l']
-    of the distribution split, matching the left-invariant fields of the
-    model; the y coordinates are the e1 ^ e_{i+1} coefficients.
-    """
-    e1 = Multivector.basis_vector(4, 1)
-    lp = Multivector.from_vector(4, np.concatenate([[0.0], p.l_coords]))
-    lq = Multivector.from_vector(4, np.concatenate([[0.0], q.l_coords]))
-    y = (
-        grade_project(p.mv, 2)
-        + grade_project(q.mv, 2)
-        + 0.5 * (outer_product(e1 * p.x, lq) - outer_product(e1 * q.x, lp))
-    )
-    x = p.x + q.x
-    return Model47Point(Multivector.blade(4, "e1", x) + lp + lq + y)
+    """Group law (x, l, y) (x', l', y') = (x + x', l + l', y + y' + (1/2)(x l' - x' l))."""
+    return _group_product(Model.M47, p, q)
 
 
 def group_inverse_47(p: Model47Point) -> Model47Point:
@@ -181,18 +170,13 @@ def group_inverse_47(p: Model47Point) -> Model47Point:
 
 
 def omega_matrix(model, k1: float, k2: float, k3: float) -> np.ndarray:
-    """Skew-symmetric system matrix of the vertical momentum equation."""
-    model = _as_model(model)
-    if model is Model.M36:
-        return np.array([[0.0, k1, k2], [-k1, 0.0, k3], [-k2, -k3, 0.0]])
-    return np.array(
-        [
-            [0.0, k1, k2, k3],
-            [-k1, 0.0, 0.0, 0.0],
-            [-k2, 0.0, 0.0, 0.0],
-            [-k3, 0.0, 0.0, 0.0],
-        ]
-    )
+    """Skew-symmetric system matrix of the vertical momentum equation
+    dh = -Omega h: the matrix of h -> -h . k (left contraction), with k1, k2,
+    k3 on the model's bivector blades in ``blades`` order."""
+    spec = _spec(model)
+    minus_k = spec.mv(np.r_[np.zeros(spec.dim), -k1, -k2, -k3])  # bivectors follow the vectors
+    basis = (Multivector.basis_vector(spec.dim, j) for j in range(1, spec.dim + 1))
+    return np.column_stack([inner_product(e, minus_k).vector_coords() for e in basis])
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +207,7 @@ def fiber_solution_36(kvec, cvec, t: float) -> np.ndarray:
         # complement with Omega v1 = -K v2 serves as (v1, v2)
         v3 = np.array([k3, -k2, k1]) / kk
         v1 = np.array([1.0, 0.0, 0.0])
-        omega = omega_matrix(Model.M36, k1, k2, k3)
-        v2 = -(omega @ v1) / kk
+        v2 = -omega_matrix(Model.M36, k1, k2, k3)[:, 0] / kk
     s, c = np.sin(kk * t), np.cos(kk * t)
     return (c1 * c - c2 * s) * v1 + (c1 * s + c2 * c) * v2 + c3 * v3
 
@@ -471,8 +454,9 @@ def invariants_47(point) -> Invariants47:
 
 
 def invariants(model, point):
+    """Invariants of a point of the model, or of a bare multivector."""
     spec = _spec(model)
-    mv = point.mv if isinstance(point, spec.point_cls) else point
+    mv = point if isinstance(point, Multivector) else spec.point_mv(point)
     return spec.invariants_cls(*spec.ga_invariants(mv, _GA))
 
 
@@ -481,23 +465,16 @@ def invariants(model, point):
 
 
 def so3_action(model, rotor: Rotor, point, tol: float = 1e-9):
-    """Apply the rotation symmetry to a group element.
-
-    For the 6-dimensional model the rotor acts on both grade parts by
-    conjugation.  For the 7-dimensional model the rotor must fix e1 (the
-    symmetry only rotates the involutive complement); a rotor moving e1
-    raises RotorDomain.
-    """
-    model = _as_model(model)
-    if model is Model.M36:
-        if point.mv.dim != 3:
-            raise ValueError("model/point mismatch")
-        return Model36Point(sandwich(rotor, point.mv))
-    e1 = Multivector.basis_vector(4, 1)
-    moved = sandwich(rotor, e1)
-    if float(np.max(np.abs(moved.coeffs - e1.coeffs))) > tol:
-        raise RotorDomain("rotor moves e1; the model symmetry fixes the first axis")
-    return Model47Point(sandwich(rotor, point.mv))
+    """Apply the rotation symmetry to a group element by conjugation; a rotor
+    moving ``spec.fixed_axes`` (e1 for 47, whose symmetry rotates only the
+    involutive complement) raises RotorDomain."""
+    spec = _spec(model)
+    mv = spec.point_mv(point)
+    for name in spec.fixed_axes:
+        axis = Multivector.blade(spec.dim, name)
+        if float(np.max(np.abs(sandwich(rotor, axis).coeffs - axis.coeffs))) > tol:
+            raise RotorDomain(f"rotor moves {name}; the model symmetry fixes it")
+    return spec.point_cls(sandwich(rotor, mv))
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +621,7 @@ class _ModelSpec:
     fiber: Callable
     rk4_rhs: Callable  # (momenta k, state components) -> their derivatives
     aligned_fiber: Callable  # params -> (kvec, fiber constants)
+    fixed_axes: tuple = ()  # basis vectors every symmetry rotor must fix
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -660,6 +638,12 @@ class _ModelSpec:
     @cached_property
     def invariant_names(self) -> tuple:
         return tuple(f.name for f in fields(self.invariants_cls))
+
+    def point_mv(self, point) -> Multivector:
+        """``point.mv``; raises ValueError unless ``point`` is a point of this model."""
+        if not isinstance(point, self.point_cls):
+            raise ValueError(f"expected a {self.point_cls.__name__}, got {type(point).__name__}")
+        return point.mv
 
     def mv(self, raw) -> Multivector:
         c = np.zeros(1 << self.dim)
@@ -747,6 +731,7 @@ _SPECS = {
         fiber=fiber_solution_47,
         rk4_rhs=_rk4_rhs_47,
         aligned_fiber=_aligned_fiber_47,
+        fixed_axes=(_E1_4,),
     ),
 }
 

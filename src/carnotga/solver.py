@@ -53,9 +53,8 @@ _BATCH = 1024
 # scanned after an early stop
 _OUTCOMES = ("accepted", "not_converged", "out_of_bounds", "over_tolerance",
              "duplicate_params", "duplicate_orbit", "not_scanned")
-# the invariant formulas of models call the algebra through the module they
-# are handed; the solver hands over this one, so the orbit signatures' algebra
-# calls, the forward check's among them, go through the names imported above
+# the invariant formulas of models call the algebra through the module they are
+# handed: the forward check, the solver's only algebra call, hands over this one
 _GA = sys.modules[__name__]
 
 
@@ -80,6 +79,8 @@ def residual(model, params, t: float, target) -> np.ndarray:
     """Public residual: invariant mismatch of the representative geodesic at
     time t against the target, with the level-set defect appended."""
     spec = _spec(model)
+    if not isinstance(params, spec.params_cls):
+        raise ValueError(f"expected {spec.params_cls.__name__}, got {type(params).__name__}")
     target = np.asarray(target, float)
     u = np.array([getattr(params, name) for name in spec.param_names[:-1]] + [t])
     n = len(spec.invariant_names)
@@ -340,17 +341,13 @@ def _canonicalize(spec, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _orbit_signature(spec, u: np.ndarray, end) -> np.ndarray:
-    """Invariant curve fingerprint used to identify orbit-equivalent roots,
-    from the algebra evaluation that the closed forms are checked against:
-    the arrival time, then the invariants at a quarter, half and three
-    quarters of it, then ``end``, those of the endpoint, which the forward
-    check of ``solve`` has already evaluated."""
+def _orbit_signature(spec, u: np.ndarray) -> np.ndarray:
+    """Invariant curve fingerprint used to identify orbit-equivalent roots:
+    the arrival time, then the closed-form invariants at a quarter, half,
+    three quarters and all of it (``spec.ga_invariants`` is their reference)."""
     t = u[-1]
-    sig = [t]
-    for frac in (0.25, 0.5, 0.75):
-        sig.extend(spec.ga_invariants(spec.geodesic_mv(u, frac * t), _GA))
-    return np.array(sig + list(end))
+    raw = spec.geodesic_raw(*u[:-1], t * np.array([0.25, 0.5, 0.75, 1.0]))
+    return np.concatenate([[t], spec.invariants_raw(raw).ravel()])
 
 
 def solve(req: SolveRequest) -> SolveResult:
@@ -364,14 +361,11 @@ def solve(req: SolveRequest) -> SolveResult:
     sign folds (exact symmetries of the residual) and screened in this order:
     outside the bounds, within ``_DEDUP_RADIUS`` of an accepted root in every
     parameter, the forward check, then the orbit signature of an accepted
-    root.  The forward check compares the endpoint invariants, evaluated
-    through the algebra, and the level defect with ``tolerance``.  A
-    candidate's orbit signature adds three more algebra evaluations and is
-    built only once a root has been accepted to compare it with; a root's
-    own signature is built the first time a later candidate needs it, so a
-    solve that accepts one root (``early_stop=1``) builds none.  The roots
-    are sorted by arrival time.  Raises InfeasibleTarget, naming the start
-    outcomes, when no root is accepted.
+    root.  The forward check, the solve's only algebra evaluation, compares
+    the endpoint invariants and the level defect with ``tolerance``; a
+    candidate that passes it gets its closed-form orbit signature, kept with
+    the root it becomes.  The roots are sorted by arrival time.  Raises
+    InfeasibleTarget, naming the start outcomes, when no root is accepted.
     """
     spec = _spec(req.model)
     target = np.asarray(req.target, float)
@@ -393,12 +387,7 @@ def solve(req: SolveRequest) -> SolveResult:
         rows += len(U)
         return _residual_rows(spec, U, target)
 
-    roots = []  # [u, residual norm, endpoint invariants, orbit signature or None]
-
-    def signature(root) -> np.ndarray:
-        if root[3] is None:
-            root[3] = _orbit_signature(spec, root[0], root[2])
-        return root[3]
+    roots = []  # (u, residual norm, orbit signature)
 
     def screen(u, ok) -> str:
         """The outcome of one start; an accepted root is kept."""
@@ -416,13 +405,11 @@ def solve(req: SolveRequest) -> SolveResult:
         rnorm = float(np.abs(res).max())
         if not rnorm <= req.tolerance:  # a NaN residual fails too
             return "over_tolerance"
-        root = [u, rnorm, end, None]
-        if roots:
-            sig = signature(root)
-            scale = max(1.0, float(np.abs(sig).max()))
-            if any(np.abs(sig - signature(r)).max() <= 1e-6 * scale for r in roots):
-                return "duplicate_orbit"
-        roots.append(root)
+        sig = _orbit_signature(spec, u)
+        scale = max(1.0, float(np.abs(sig).max()))
+        if any(np.abs(sig - r[2]).max() <= 1e-6 * scale for r in roots):
+            return "duplicate_orbit"
+        roots.append((u, rnorm, sig))
         return "accepted"
 
     outcomes = dict.fromkeys(_OUTCOMES, 0)
@@ -458,7 +445,7 @@ def solve(req: SolveRequest) -> SolveResult:
     roots.sort(key=lambda r: r[0][-1])
     sols = [
         SolveSolution(params=spec.params_cls(*(float(v) for v in u)), residual_norm=rnorm)
-        for u, rnorm, _, _ in roots
+        for u, rnorm, _ in roots
     ]
     return SolveResult(tuple(sols), attempted, converged, rows, iterations, outcomes)
 

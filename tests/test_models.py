@@ -22,6 +22,7 @@ from carnotga import (
     group_inverse_47,
     group_product_36,
     group_product_47,
+    grade_project,
     invariant_closed_forms,
     invariants,
     invariants_36,
@@ -31,6 +32,7 @@ from carnotga import (
     outer_product,
     representative_geodesic_36,
     representative_geodesic_47,
+    residual,
     sandwich,
     so3_action,
 )
@@ -193,6 +195,59 @@ def test_group_laws_match_geodesic_flows(rng):
     assert rebuilt.mv.isclose(q_st.mv, atol=1e-12)
 
 
+def _law_36(p, q):
+    """The (3,6) law written out: (x, z) (x', z') = (x + x', z + z' + (1/2) x ^ x')."""
+    xp = grade_project(p.mv, 1)
+    xq = grade_project(q.mv, 1)
+    z = grade_project(p.mv, 2) + grade_project(q.mv, 2) + 0.5 * outer_product(xp, xq)
+    return Model36Point(xp + xq + z)
+
+
+def _law_47(p, q):
+    """The (4,7) law written out: y + y' + (1/2)(x l' - x' l) on e1 ^ e_{i+1}."""
+    e1 = Multivector.basis_vector(4, 1)
+    lp = Multivector.from_vector(4, np.concatenate([[0.0], p.l_coords]))
+    lq = Multivector.from_vector(4, np.concatenate([[0.0], q.l_coords]))
+    y = (
+        grade_project(p.mv, 2)
+        + grade_project(q.mv, 2)
+        + 0.5 * (outer_product(e1 * p.x, lq) - outer_product(e1 * q.x, lp))
+    )
+    return Model47Point(Multivector.blade(4, "e1", p.x + q.x) + lp + lq + y)
+
+
+def test_group_laws_equal_the_written_out_laws_bit_for_bit(rng):
+    # the group law is read off the wedge of the grade-1 parts; the laws as
+    # written out per model are its reference.  Some coefficients are exact
+    # zeros, so the sign of a zero sum is pinned too
+    for model, law, product in ((Model.M36, _law_36, group_product_36),
+                                (Model.M47, _law_47, group_product_47)):
+        spec = _spec(model)
+        for _ in range(500):
+            shape = (2, len(spec.blades))
+            a, b = rng.normal(size=shape) * rng.choice([0.0, 1.0, 1e4], size=shape)
+            p, q = spec.point_cls(spec.mv(a)), spec.point_cls(spec.mv(b))
+            assert product(p, q).mv.coeffs.tobytes() == law(p, q).mv.coeffs.tobytes()
+
+
+def test_points_params_of_the_other_model_raise_value_error():
+    p36, p47 = Model36Point.origin(), Model47Point.origin()
+    rotors = {Model.M36: Rotor.identity(3), Model.M47: Rotor.identity(4)}
+    cases = [
+        (invariants, Model.M36, p47), (invariants, Model.M47, p36),
+        (invariants_36, p47), (invariants_47, p36),
+        (group_product_36, p36, p47), (group_product_36, p47, p47),
+        (group_product_47, p47, p36), (group_product_47, p36, p36),
+        (so3_action, Model.M36, rotors[Model.M36], p47),
+        (so3_action, Model.M47, rotors[Model.M47], p36),
+        (residual, Model.M36, params47(), 1.0, (0.0, 0.0, 0.0)),
+        (residual, Model.M47, params36(), 1.0, (0.0, 0.0, 0.0, 0.0)),
+    ]
+    for fn, *args in cases:
+        with pytest.raises(ValueError, match="Model36Point|Model47Point|GeodesicParams"):
+            fn(*args)
+
+
 def test_so3_equivariance_of_group_law(rng):
     for _ in range(10):
         rot = random_rotor(rng, 3)
@@ -219,6 +274,25 @@ def test_omega_matrix_36_substitution():
 
 def test_omega_matrix_47_zero():
     assert np.array_equal(omega_matrix(Model.M47, 0, 0, 0), np.zeros((4, 4)))
+
+
+def _omega_literal(model, k1, k2, k3):
+    """Omega written out per model."""
+    if model is Model.M36:
+        return np.array([[0.0, k1, k2], [-k1, 0.0, k3], [-k2, -k3, 0.0]])
+    return np.array(
+        [[0.0, k1, k2, k3], [-k1, 0.0, 0.0, 0.0], [-k2, 0.0, 0.0, 0.0], [-k3, 0.0, 0.0, 0.0]]
+    )
+
+
+def test_omega_matrix_equals_the_written_out_matrices(rng):
+    # omega_matrix is the matrix of h -> -h . k; compared by value, since an
+    # entry -k_i of the written-out matrix is -0.0 where the contraction gives
+    # +0.0 when that k_i is exactly 0
+    for model in Model:
+        for _ in range(200):
+            k = rng.normal(size=3) * rng.choice([0.0, 1.0], size=3)
+            assert np.array_equal(omega_matrix(model, *k), _omega_literal(model, *k))
 
 
 def test_omega_skew_symmetry(rng):

@@ -33,7 +33,8 @@ from carnotga import (
 from carnotga.models import _SPECS, _spec, invariants
 from carnotga import solver
 from carnotga.solver import (
-    _BIG, _OUTCOMES, _canonicalize, _latin_hypercube, _newton, _norms, _residual_rows, _starts)
+    _BIG, _OUTCOMES, _canonicalize, _latin_hypercube, _newton, _norms, _orbit_signature,
+    _residual_rows, _starts)
 from conftest import REF36_CONSTANTS, REF36_INVARIANTS, REF47_CONSTANTS, REF47_INVARIANTS
 from test_acceptance import _flag_margin_36, _flag_margin_47
 from test_models import params36, params47, random_params36, random_params47
@@ -353,6 +354,21 @@ def test_start_outcomes():
         out = result.start_outcomes
         assert out["accepted"] == 1 and out["not_scanned"] == 64 - scanned
         assert sum(out.values()) == 64
+
+
+def test_orbit_signature_equals_algebra_bit_for_bit(rng):
+    # the signature is built from the closed forms; the algebra evaluation
+    # of the same curve points is its reference
+    for model in Model:
+        spec = _spec(model)
+        for _ in range(300):
+            u = rng.uniform(-3.0, 3.0, size=len(spec.param_names))
+            u[0], u[-1] = rng.uniform(0.05, 10.0), rng.uniform(0.2, 20.0)
+            t = u[-1]
+            want = [t]
+            for frac in (0.25, 0.5, 0.75, 1.0):
+                want.extend(spec.ga_invariants(spec.geodesic_mv(u, frac * t), solver))
+            assert _orbit_signature(spec, u).tobytes() == np.array(want).tobytes()
 
 
 def test_orbit_signature_merges_roots_of_one_curve():
