@@ -308,6 +308,27 @@ def frame_flag_47(q: Multivector) -> Flag:
     return Flag((lh, plane, space, pseudoscalar(4)))
 
 
+def flag_margin(model, point) -> float:
+    """Distance of a point from the collinearity locus where its flag
+    degenerates, between 0 and 1: for 36 the sine of the angle between x and
+    the dual vector of z, for 47 the smaller of |cos| and sin of the angle
+    between l and the e1^e2, e1^e3, e1^e4 coefficients of y.  It is 0 when
+    either part has a norm below 1e-6; a point of the other model raises
+    ValueError."""
+    from .models import Model, _as_model, _spec  # models imports this module
+
+    model = _as_model(model)
+    _spec(model).point_mv(point)
+    m36 = model is Model.M36
+    a, b = (point.x_coords, point.z_vector) if m36 else (point.l_coords, point.y_coords)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na < 1e-6 or nb < 1e-6:
+        return 0.0
+    a, b = a / na, b / nb
+    cross = float(np.linalg.norm(np.cross(a, b)))
+    return cross if m36 else min(abs(float(a @ b)), cross)
+
+
 def flag_is_nested(flag: Flag, tol: float = 1e-9) -> bool:
     """Check the subspace chain numerically: every direction inside stage i
     must wedge to zero against stage i + 1."""

@@ -489,6 +489,7 @@ def invariant_closed_forms(model, params, t: float):
     is canonical.  See the printed-formula audit in the test suite.
     """
     model = _as_model(model)
+    _spec(model).check_params(params)
     if model is Model.M36:
         K, D, C3 = params.K, params.D, params.C3
         s, c = np.sin(K * t), np.cos(K * t)
@@ -644,6 +645,12 @@ class _ModelSpec:
         if not isinstance(point, self.point_cls):
             raise ValueError(f"expected a {self.point_cls.__name__}, got {type(point).__name__}")
         return point.mv
+
+    def check_params(self, params):
+        """``params``; raises ValueError unless they are params of this model."""
+        if not isinstance(params, self.params_cls):
+            raise ValueError(f"expected {self.params_cls.__name__}, got {type(params).__name__}")
+        return params
 
     def mv(self, raw) -> Multivector:
         c = np.zeros(1 << self.dim)

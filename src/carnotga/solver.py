@@ -29,12 +29,15 @@ _BIG = 1e12
 _DEDUP_RADIUS = 1e-6  # roots this close in every raw parameter count as one
 _HALVINGS = 0.5 ** np.arange(21)  # line-search step sizes 1 down to 2^-20
 _ARMIJO = 1.0 - 1e-4 * _HALVINGS  # the norm fraction each step size must beat
-# starts per Newton batch under early_stop; a block ends once its settled
-# starts, scanned in order, hold the roots asked for.  Medians of two runs
-# of 12 and 16 interleaved passes over the benchmark's 48 round-trip
-# targets, starts in increasing K t: 633/661 ms with one start per block,
-# 623/606 with 2, 694/609 with 3, 666/633 with 4, 675/684 with 6 and
-# 713/720 with 8; 2, 3 and 4 lie within each other's quartiles (2-vCPU VM)
+# starts per Newton batch under early_stop; a block screens each start as it
+# settles and ends once the roots asked for are accepted.  Two runs of 16
+# interleaved in-process passes over the benchmark's 48 round-trip targets
+# (steer, early_stop=1, starts in increasing K t) read medians of 189/178 ms
+# per pass with 2 starts per block, 175/158 with 4 and 164/158 with 8, where
+# 4 and 8 lie within each other's quartiles.  First roots over those targets
+# and 298 further forward-generated ones: minimal-time in 35+232 of 48+298
+# with 2, 38+238 with 4 and 36+218 with 8, mean t/t_min 1.043/1.041,
+# 1.039/1.036 and 1.054/1.039 (2-vCPU VM)
 _BLOCK = 4
 # a start that has taken the Levenberg fallback stops, not converged, once its
 # largest residual entry fell by less than _STALL_DROP over its last
@@ -50,7 +53,7 @@ _STALL_DROP = 0.01
 # start, so this bounds the memory of a solve with many starts
 _BATCH = 1024
 # what became of each start: accepted, the filter that rejected it, or not
-# scanned after an early stop
+# screened before an early stop
 _OUTCOMES = ("accepted", "not_converged", "out_of_bounds", "over_tolerance",
              "duplicate_params", "duplicate_orbit", "not_scanned")
 # the invariant formulas of models call the algebra through the module they are
@@ -79,8 +82,7 @@ def residual(model, params, t: float, target) -> np.ndarray:
     """Public residual: invariant mismatch of the representative geodesic at
     time t against the target, with the level-set defect appended."""
     spec = _spec(model)
-    if not isinstance(params, spec.params_cls):
-        raise ValueError(f"expected {spec.params_cls.__name__}, got {type(params).__name__}")
+    spec.check_params(params)
     target = np.asarray(target, float)
     u = np.array([getattr(params, name) for name in spec.param_names[:-1]] + [t])
     n = len(spec.invariant_names)
@@ -229,16 +231,18 @@ class SolveOptions:
 
     Bounds confine the frequency K to (0, k_max] and the arrival time to
     (0, t_max].  ``tolerance`` bounds the algebra-evaluated residual of
-    accepted roots.  ``early_stop`` (None or at least 1) ends the scan of
-    the starts once that many distinct roots were accepted; the roots then
-    depend only on the seed.  Under it the starts are scanned in increasing
-    winding K t, ties in their drawn order: geodesics oscillate with phase
-    K t and stop minimizing once they wind too far, and low-winding starts
-    converge soonest.  Newton runs them in blocks of ``_BLOCK`` and ends the
-    last block as soon as its settled starts, scanned in order, hold those
-    roots; the work counted includes the iterations the block's later starts
-    ran until then.  Without it the starts keep their drawn order and up to
-    ``_BATCH`` run as one batch.  Either way a start that stalls after the
+    accepted roots.  ``early_stop`` (None or at least 1) ends the screening
+    of the starts once that many distinct roots were accepted; the roots then
+    depend only on the seed.  Under it the starts go in increasing winding
+    K t, ties in their drawn order: geodesics oscillate with phase K t and
+    stop minimizing once they wind too far, and low-winding starts converge
+    soonest.  Newton runs them in blocks of ``_BLOCK`` and screens each start
+    as soon as it settles (converges, stalls, takes a non-finite step or
+    cannot move), starts that settle in the same iteration in K t order; the
+    block ends once those roots are accepted, and the work counted includes
+    the iterations its unscreened starts ran until then.  Without it the
+    starts keep their drawn order, up to ``_BATCH`` run as one batch, and
+    all are screened after it.  Either way a start that stalls after the
     Levenberg fallback stops early and counts as not converged (see
     ``_newton``).
     """
@@ -354,17 +358,18 @@ def solve(req: SolveRequest) -> SolveResult:
     """Multistart damped Newton over the bounded parameter box.
 
     The starts run through one batched Newton: up to ``_BATCH`` at once, or
-    in blocks of ``_BLOCK`` under ``early_stop``.  The starts are scanned in
-    their drawn order, or under ``early_stop`` in increasing K t while their
-    block still runs.  Starts that stall after the Levenberg fallback stop
-    early, as not converged.  Each converged start is canonicalized by the
-    sign folds (exact symmetries of the residual) and screened in this order:
-    outside the bounds, within ``_DEDUP_RADIUS`` of an accepted root in every
-    parameter, the forward check, then the orbit signature of an accepted
-    root.  The forward check, the solve's only algebra evaluation, compares
-    the endpoint invariants and the level defect with ``tolerance``; a
-    candidate that passes it gets its closed-form orbit signature, kept with
-    the root it becomes.  The roots are sorted by arrival time.  Raises
+    in blocks of ``_BLOCK`` under ``early_stop``.  The starts are screened in
+    their drawn order after the batch, or under ``early_stop`` while their
+    block runs, each as soon as it settles, ties in increasing K t.  Starts
+    that stall after the Levenberg fallback stop early, as not converged.
+    Each converged start is canonicalized by the sign folds (exact
+    symmetries of the residual) and screened in this order: outside the
+    bounds, within ``_DEDUP_RADIUS`` of an accepted root in every parameter,
+    the forward check, then the orbit signature of an accepted root.  The
+    forward check, the solve's only algebra evaluation, compares the
+    endpoint invariants and the level defect with ``tolerance``; a candidate
+    that passes it gets its closed-form orbit signature, kept with the root
+    it becomes.  The roots are sorted by arrival time.  Raises
     InfeasibleTarget, naming the start outcomes, when no root is accepted.
     """
     spec = _spec(req.model)
@@ -414,16 +419,17 @@ def solve(req: SolveRequest) -> SolveResult:
 
     outcomes = dict.fromkeys(_OUTCOMES, 0)
     for lo in range(0, len(starts), block):
-        scanned = 0  # starts of this block screened so far
+        screened = np.zeros(min(block, len(starts) - lo), bool)  # per start of the block
 
         def scan(U, ok, active) -> bool:
-            """Screen the block's settled starts in order, up to the first one
-            still running; true once early_stop roots are accepted (roots grow
+            """Screen the block's starts that settled since the last call, in
+            block order; true once early_stop roots are accepted (roots grow
             one at a time; without early_stop no count equals None)."""
-            nonlocal scanned
-            while scanned < len(U) and not active[scanned] and len(roots) != req.early_stop:
-                outcomes[screen(U[scanned], ok[scanned])] += 1
-                scanned += 1
+            for i in np.flatnonzero(~active & ~screened):
+                if len(roots) == req.early_stop:
+                    break
+                outcomes[screen(U[i], ok[i])] += 1
+                screened[i] = True
             return len(roots) == req.early_stop
 
         U, _, ok, its = _newton(f, starts[lo:lo + block],
@@ -529,4 +535,5 @@ def aligned_fiber_inputs(model, params):
     with constants (0, -D, -C3); for the other it is (K, 0, 0) with
     constants (C1, C2, 0, C/K).  Used by the oracle-equivalence tests.
     """
-    return _spec(model).aligned_fiber(params)
+    spec = _spec(model)
+    return spec.aligned_fiber(spec.check_params(params))

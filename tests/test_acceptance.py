@@ -27,6 +27,7 @@ from carnotga import (
     SteerOptions,
     align_bases,
     aligned_fiber_inputs,
+    flag_margin,
     invariant_closed_forms,
     invariants_36,
     invariants_47,
@@ -81,26 +82,6 @@ def _random_params47(rng):
         C=float(np.cos(al)),
         t_final=float(rng.uniform(1.0, 9.0)),
     )
-
-
-def _flag_margin_36(point):
-    """Smallest normalized flag-stage magnitude; small values mean the
-    alignment problem is ill-conditioned."""
-    x = point.x_coords
-    z = point.z_vector
-    nx, nz = np.linalg.norm(x), np.linalg.norm(z)
-    if nx < 1e-6 or nz < 1e-6:
-        return 0.0
-    return float(np.linalg.norm(np.cross(x / nx, z / nz)))
-
-
-def _flag_margin_47(point):
-    l = point.l_coords
-    w = point.y_coords
-    nl, nw = np.linalg.norm(l), np.linalg.norm(w)
-    if nl < 1e-6 or nw < 1e-6:
-        return 0.0
-    return float(min(abs(np.dot(l / nl, w / nw)), np.linalg.norm(np.cross(l / nl, w / nw))))
 
 
 def test_criterion_1_reference_invariants_36():
@@ -288,7 +269,7 @@ def test_criterion_9_roundtrip_steering():
     while count36 < 200:
         p = _random_params36(rng)
         qo = representative_geodesic_36(p, p.t_final)
-        if _flag_margin_36(qo) < margin:
+        if flag_margin(Model.M36, qo) < margin:
             continue
         rot = random_rotor(rng, 3)
         target = sandwich(rot, qo.mv)
@@ -299,7 +280,7 @@ def test_criterion_9_roundtrip_steering():
     while count47 < 200:
         p = _random_params47(rng)
         qo = representative_geodesic_47(p, p.t_final)
-        if _flag_margin_47(qo) < margin:
+        if flag_margin(Model.M47, qo) < margin:
             continue
         rot = random_rotor(rng, 4, fix_e1=True)
         target = sandwich(rot, qo.mv)

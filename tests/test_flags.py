@@ -11,12 +11,16 @@ from carnotga import (
     Flag,
     FlagMismatch,
     FramePair,
+    Model,
+    Model36Point,
+    Model47Point,
     Multivector,
     Rotor,
     align_bases,
     align_flags,
     dual,
     flag_from_basis,
+    flag_margin,
     frame_flag_36,
     frame_flag_47,
     geometric_product,
@@ -359,6 +363,36 @@ def test_frame_flag_47_random_nesting(rng):
         flag = frame_flag_47(q)
         assert flag_is_nested(flag, tol=1e-8)
         count += 1
+
+
+def test_flag_margin_equals_the_written_out_formula(rng):
+    # 36: sin of the angle between x and z_vec = (z23, -z13, z12); 47: the
+    # smaller of |cos| and sin of the angle between l and (y12, y13, y14);
+    # 0 when a part is below 1e-6.  Bit for bit on random points, a quarter
+    # with a vanishing vector part, a quarter with a vanishing bivector part
+    # and a quarter on the collinearity locus
+    cases = ((Model.M36, Model36Point, ("e1", "e2", "e3"),
+              ((1.0, "e23"), (-1.0, "e13"), (1.0, "e12"))),
+             (Model.M47, Model47Point, ("e2", "e3", "e4"),
+              ((1.0, "e12"), (1.0, "e13"), (1.0, "e14"))))
+    for model, point_cls, vec, biv in cases:
+        dim = point_cls.origin().mv.dim
+        for i in range(400):
+            a, b = rng.uniform(-2.0, 2.0, size=(2, 3))
+            a *= i % 4 != 1
+            b = b * (i % 4 != 2) if i % 4 != 3 else rng.uniform(-2.0, 2.0) * a
+            c = dict(zip(vec, a)) | {name: sign * v for (sign, name), v in zip(biv, b)}
+            if model is Model.M47:
+                c["e1"] = rng.uniform(-2.0, 2.0)
+            na, nb = np.linalg.norm(a), np.linalg.norm(b)
+            if na < 1e-6 or nb < 1e-6:
+                want = 0.0
+            else:
+                sine = float(np.linalg.norm(np.cross(a / na, b / nb)))
+                want = sine if model is Model.M36 else float(min(abs(np.dot(a / na, b / nb)), sine))
+            got = flag_margin(model, point_cls(blades_to_mv(dim, c)))
+            assert got == want and 0.0 <= got <= 1.0
+            assert got < 1e-12 if i % 4 else got > 0.0
 
 
 def test_model_flag_alignment_fixes_e1(rng):

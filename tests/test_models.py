@@ -15,9 +15,11 @@ from carnotga import (
     Multivector,
     Rotor,
     RotorDomain,
+    aligned_fiber_inputs,
     blade_name,
     fiber_solution_36,
     fiber_solution_47,
+    flag_margin,
     group_inverse_36,
     group_inverse_47,
     group_product_36,
@@ -242,6 +244,11 @@ def test_points_params_of_the_other_model_raise_value_error():
         (so3_action, Model.M47, rotors[Model.M47], p36),
         (residual, Model.M36, params47(), 1.0, (0.0, 0.0, 0.0)),
         (residual, Model.M47, params36(), 1.0, (0.0, 0.0, 0.0, 0.0)),
+        (invariant_closed_forms, Model.M36, params47(), 1.0),
+        (invariant_closed_forms, Model.M47, params36(), 1.0),
+        (aligned_fiber_inputs, Model.M36, params47()),
+        (aligned_fiber_inputs, Model.M47, params36()),
+        (flag_margin, Model.M36, p47), (flag_margin, Model.M47, p36),
     ]
     for fn, *args in cases:
         with pytest.raises(ValueError, match="Model36Point|Model47Point|GeodesicParams"):

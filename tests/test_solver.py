@@ -19,6 +19,7 @@ from carnotga import (
     SteerOptions,
     aligned_fiber_inputs,
     compute_invariants,
+    flag_margin,
     invariants_36,
     invariants_47,
     omega_matrix,
@@ -36,7 +37,6 @@ from carnotga.solver import (
     _BIG, _OUTCOMES, _canonicalize, _latin_hypercube, _newton, _norms, _orbit_signature,
     _residual_rows, _starts)
 from conftest import REF36_CONSTANTS, REF36_INVARIANTS, REF47_CONSTANTS, REF47_INVARIANTS
-from test_acceptance import _flag_margin_36, _flag_margin_47
 from test_models import params36, params47, random_params36, random_params47
 
 
@@ -341,14 +341,14 @@ def test_line_search_norms_equal_linalg_norm(rng):
 
 def test_start_outcomes():
     cases = (
-        (Model.M36, REF36_INVARIANTS, (1, 38, 2, 0, 23, 0, 0), 3),
-        (Model.M47, REF47_INVARIANTS, (2, 52, 2, 0, 8, 0, 0), 2),
+        (Model.M36, REF36_INVARIANTS, (1, 38, 2, 0, 23, 0, 0), 1),
+        (Model.M47, REF47_INVARIANTS, (2, 52, 2, 0, 8, 0, 0), 1),
     )
     for model, target, counts, scanned in cases:
         result = solve(SolveRequest(model=model, target=target))
         assert tuple(result.start_outcomes) == _OUTCOMES
         assert tuple(result.start_outcomes.values()) == counts
-        # early stop: the starts are scanned in increasing K t up to the first root
+        # early stop: the starts are screened as they settle, up to the first root
         result = solve(SolveRequest(model=model, target=target, early_stop=1))
         assert result.starts_attempted == scanned
         out = result.start_outcomes
@@ -385,44 +385,64 @@ def _criterion_9_targets(count: int) -> list:
     rotations keep the invariants, so they are left out)."""
     rng = np.random.default_rng(91)
     targets = []
-    for model, draw, geodesic, margin, inv in (
-            (Model.M36, random_params36, representative_geodesic_36, _flag_margin_36, invariants_36),
-            (Model.M47, random_params47, representative_geodesic_47, _flag_margin_47, invariants_47)):
+    for model, draw, geodesic, inv in (
+            (Model.M36, random_params36, representative_geodesic_36, invariants_36),
+            (Model.M47, random_params47, representative_geodesic_47, invariants_47)):
         kept = 0
         while kept < count:
             p = draw(rng)
             q = geodesic(p, p.t_final)
-            if margin(q) >= 5e-2:
+            if flag_margin(model, q) >= 5e-2:
                 targets.append((model, inv(q).as_tuple()))
                 kept += 1
     return targets
 
 
 def test_early_stop_ends_the_block_at_the_scanned_root(monkeypatch):
-    # the oracle runs every Newton block to completion and scans it afterwards
+    # the oracle runs every Newton block to completion and hands its starts
+    # back sorted by the iteration they settled at (``its``), then by block
+    # position, to the screen after the run: the order in which the running
+    # block screens them
     newton = solver._newton
+
+    def settled_in_order(f, U0, scan=None):
+        U, FU, ok, its = newton(f, U0)
+        order = np.argsort(its, kind="stable")
+        return U[order], FU[order], ok[order], its[order]
+
+    stops = []  # the running starts of each block when its scan ended it
+
+    def spying(f, U0, scan=None):
+        def spy(U, ok, active):
+            done = scan(U, ok, active)
+            if done:
+                stops.append(active.copy())
+            return done
+        return newton(f, U0, scan=spy)
 
     def oracle(req):
         with monkeypatch.context() as m:
-            m.setattr(solver, "_newton", lambda f, U0, scan=None: newton(f, U0))
+            m.setattr(solver, "_newton", settled_in_order)
             return solve(req)
 
+    monkeypatch.setattr(solver, "_newton", spying)
     cases = _criterion_9_targets(6) + [(Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)]
     runs = {}
     for model, target in cases:
         for early_stop in (1, 2):
             req = SolveRequest(model=model, target=target, early_stop=early_stop)
-            got, want = runs[model, target, early_stop] = solve(req), oracle(req)
+            stops.clear()
+            got, want = solve(req), oracle(req)
+            runs[model, target, early_stop] = got, want, list(stops)
             assert got.solutions == want.solutions
             assert got.start_outcomes == want.start_outcomes
             assert (got.starts_attempted, got.converged) == (want.starts_attempted, want.converged)
             assert got.residual_rows <= want.residual_rows
             assert got.newton_iterations <= want.newton_iterations
-    # the second 6-dim criterion-9 target accepts its first start while the
-    # other three starts of the block are still iterating
-    model, target = cases[1]
-    got, want = runs[model, target, 1]
-    assert model is Model.M36 and got.starts_attempted == 1
+    # the documented 6-dim target accepts the third start of its first block
+    # while the first two are still iterating
+    got, want, stops = runs[Model.M36, REF36_INVARIANTS, 1]
+    assert got.starts_attempted == 1 and [s.tolist() for s in stops] == [[True, True, False, True]]
     assert got.residual_rows < want.residual_rows
     assert got.newton_iterations < want.newton_iterations
 
@@ -432,20 +452,20 @@ def test_early_stop_roots_keep_their_bits():
     # float.hex, then start outcomes, Newton iterations and residual rows
     cases = (
         (("0x1.42eb9025d100fp+0", "0x1.d8520fdd71e86p-2", "-0x1.c6483eb4b79dfp-1",
-          "0x1.f3dcd5a28567dp+2"), "0x1.8000000000000p-49", (1, 1, 0, 0, 0, 0, 62), 89, 3047),
+          "0x1.f3dcd5a28567dp+2"), "0x1.8000000000000p-49", (1, 0, 0, 0, 0, 0, 63), 36, 1048),
         (("0x1.16fe6f37cd968p+0", "0x1.2930614a40d95p-1", "-0x1.a0eba636ec4b6p-1",
           "0x1.0794ddfd283fep+3"), "0x1.0000000000000p-50", (1, 0, 0, 0, 0, 0, 63), 40, 1164),
-        (("0x1.1143cb38d8912p+0", "0x1.c109dad20f721p-2", "-0x1.cc2596d093298p-1",
-          "0x1.0bf7f434dc8ddp+2"), "0x1.0000000000000p-50", (1, 0, 0, 0, 0, 0, 63), 35, 1019),
-        (("0x1.3afa5e93b879cp+0", "0x1.3cc1d4b3bf73ap-2", "0x1.4ef8930a7a826p-2",
-          "0x1.aa4503956cbcbp-1", "0x1.db226091711ddp+2"), "0x1.4000000000000p-47",
-         (1, 0, 0, 0, 0, 0, 63), 49, 1523),
-        (("0x1.1cc610d7e5058p+0", "0x1.0f74f6b9f2823p-3", "0x1.be07d63f575fep-1",
-          "0x1.954e1e213577fp-3", "0x1.46b2ba8f50a44p+2"), "0x1.0000000000000p-49",
-         (1, 0, 0, 0, 0, 0, 63), 49, 1523),
-        (("0x1.ec650483d79ecp-2", "-0x1.0ee00a59b3df2p-1", "0x1.d8aae1213fb8bp-2",
-          "0x1.e1f0140b0863ep-1", "0x1.16beb7a7abe26p+2"), "0x1.027c000000000p-39",
-         (1, 1, 0, 0, 0, 0, 62), 66, 2134),
+        (("0x1.1143cb38d79e5p+0", "0x1.c109dad2129bap-2", "-0x1.cc2596d0932a9p-1",
+          "0x1.0bf7f434dc76dp+2"), "0x1.3f30000000000p-37", (1, 0, 0, 0, 0, 0, 63), 32, 932),
+        (("0x1.0128751f53bb7p+0", "0x1.a094b34840a1ap-3", "-0x1.e873f887ad651p-2",
+          "0x1.b50c970c4b649p-1", "0x1.d29b4fba2ef8ap+2"), "0x1.aa34000000000p-34",
+         (1, 0, 0, 0, 0, 0, 63), 32, 996),
+        (("0x1.1cc610d7e3485p+0", "0x1.0f74f6b9f2eaep-3", "0x1.be07d63f59b15p-1",
+          "0x1.954e1e21327f9p-3", "0x1.46b2ba8f528f0p+2"), "0x1.ecf0000000000p-36",
+         (1, 0, 0, 0, 0, 0, 63), 44, 1368),
+        (("0x1.ec650483d5e04p-2", "-0x1.0ee00a59b2d8bp-1", "0x1.d8aae121443e5p-2",
+          "0x1.e1f0140b08679p-1", "0x1.16beb7a7abdc3p+2"), "0x1.0000000000000p-51",
+         (1, 0, 0, 0, 0, 0, 63), 40, 1244),
     )
     for (model, target), (root, rnorm, outcomes, iterations, rows) in zip(
             _criterion_9_targets(3), cases):
@@ -494,9 +514,11 @@ def _outcome_or_raise(req):
 
 
 def test_early_stop_keeps_feasibility(monkeypatch):
-    # early_stop=1 accepts the first start that passes the bounds and the
-    # tolerance, whatever the order; so it raises exactly when the exhaustive
-    # solve does, and then with the same message and outcomes
+    # early_stop (1 or 2) accepts the first start that passes the bounds and
+    # the tolerance, whatever the order; so it raises exactly when the
+    # exhaustive solve does, and then with the same message and outcomes.
+    # Here it also finds as many roots as asked for, or all the exhaustive
+    # solve finds
     newton = solver._newton
     iterations = []  # Newton iterations of the current solve
 
@@ -525,16 +547,18 @@ def test_early_stop_keeps_feasibility(monkeypatch):
         iterations.clear()
         want = _outcome_or_raise(SolveRequest(model=model, target=target, **knobs))
         exhaustive = sum(iterations)
-        iterations.clear()
-        got = _outcome_or_raise(SolveRequest(model=model, target=target, early_stop=1, **knobs))
-        if cap is not None:
-            assert isinstance(want, str) and max(exhaustive, sum(iterations)) <= cap
-        if isinstance(want, str):
-            assert got == want
-            kinds.add("infeasible")
-        else:
-            assert not isinstance(got, str) and len(got[0]) == 1
-            kinds.add("solved")
+        for early_stop in (1, 2):
+            iterations.clear()
+            got = _outcome_or_raise(SolveRequest(model=model, target=target, early_stop=early_stop,
+                                                 **knobs))
+            if cap is not None:
+                assert isinstance(want, str) and max(exhaustive, sum(iterations)) <= cap
+            if isinstance(want, str):
+                assert got == want
+                kinds.add("infeasible")
+            else:
+                assert not isinstance(got, str) and len(got[0]) == min(early_stop, len(want[0]))
+                kinds.add("solved")
     assert kinds == {"infeasible", "solved"}
 
 

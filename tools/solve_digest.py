@@ -1,10 +1,13 @@
-"""Print one sha256 digest per group of moduli solves.
+"""Print two sha256 digests per group of moduli solves: one over the
+exhaustive solves, one over the early-stop solves.
 
-Two checkouts that print the same lines solve every target of every group to
-the same bits: each solve contributes the hex form of every root parameter
-and residual norm, the start outcomes, the Newton iterations, the residual
-rows and the start counts, or the text of the InfeasibleTarget it raised.
-Every target is solved exhaustively and with ``early_stop=1``.  The groups:
+Two checkouts that print the same line solve every target of that group to
+the same bits on that path: each solve contributes the hex form of every
+root parameter and residual norm, the start outcomes, the Newton iterations,
+the residual rows and the start counts, or the text of the InfeasibleTarget
+it raised.  Every target is solved exhaustively, and with ``early_stop`` 1
+and 2; a change to the early-stop policy alone leaves the exhaustive lines
+as they are.  The groups:
 
 - ``documented``: the two documented worked targets;
 - ``forward``: 48 forward-generated targets, 24 per model, drawn as the
@@ -33,6 +36,7 @@ from carnotga import (
     InfeasibleTarget,
     Model,
     SolveRequest,
+    flag_margin,
     invariants_36,
     invariants_47,
     representative_geodesic_36,
@@ -41,17 +45,6 @@ from carnotga import (
 )
 
 DOCUMENTED = ((Model.M36, (14.0, -9.0, 3.0)), (Model.M47, (1.0, 14.0, -6.0, -9.0)))
-
-
-def _flag_margin(model: Model, point) -> float:
-    """Distance of an endpoint from the collinearity locus (0 when a part vanishes)."""
-    a, b = (point.x_coords, point.z_vector) if model is Model.M36 else (point.l_coords, point.y_coords)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < 1e-6 or nb < 1e-6:
-        return 0.0
-    a, b = a / na, b / nb
-    cross = float(np.linalg.norm(np.cross(a, b)))
-    return cross if model is Model.M36 else min(abs(float(a @ b)), cross)
 
 
 def forward_targets() -> list:
@@ -69,7 +62,7 @@ def forward_targets() -> list:
                     psi, r = rng.uniform(0.0, 2.0 * np.pi), np.sin(angle) / k
                     params = GeodesicParams47(k, r * np.cos(psi), r * np.sin(psi), np.cos(angle), t)
                     point, inv = representative_geodesic_47(params, t), invariants_47
-                if _flag_margin(model, point) >= 5e-2:
+                if flag_margin(model, point) >= 5e-2:
                     targets.append((model, inv(point).as_tuple()))
                     break
     return targets
@@ -103,11 +96,13 @@ def main() -> None:
     groups = (("documented", DOCUMENTED), ("forward", forward_targets()),
               ("random", random_targets()), ("straight", straight_targets()))
     for name, targets in groups:
-        h = hashlib.sha256()
-        for model, target in targets:
-            for early_stop in (None, 1):
-                h.update((solve_line(model, target, early_stop) + "\n").encode())
-        print(f"{name:<10} {2 * len(targets):3d} solves  sha256 {h.hexdigest()}")
+        for path, early_stops in (("exhaustive", (None,)), ("early_stop", (1, 2))):
+            h = hashlib.sha256()
+            for model, target in targets:
+                for early_stop in early_stops:
+                    h.update((solve_line(model, target, early_stop) + "\n").encode())
+            print(f"{name:<10} {path:<10} {len(early_stops) * len(targets):3d} solves  "
+                  f"sha256 {h.hexdigest()}")
 
 
 if __name__ == "__main__":
