@@ -374,6 +374,37 @@ class Rotor:
     def identity(cls, dim: int) -> "Rotor":
         return cls(Multivector.scalar(dim, 1.0))
 
+    @classmethod
+    def from_matrix(cls, matrix) -> "Rotor":
+        """Rotor acting on the basis vectors as the m x m rotation ``matrix``
+        (columns are the images, as ``matrix()`` gives them), for m = 3 or 4;
+        raises ValueError for any other matrix.
+
+        In G_3 the rotor is the quaternion of the matrix by Shepperd's
+        extraction, which divides by its largest component and so is exact
+        at half-turns.  In G_4 the rotor is the one taking e1 to its image,
+        after the extraction on e2, e3, e4 of the rest, which fixes e1."""
+        m = np.asarray(matrix, float)
+        dim = len(m)
+        if m.shape not in ((3, 3), (4, 4)) or not np.isfinite(m).all():
+            raise ValueError(f"expected a finite 3 x 3 or 4 x 4 matrix, got shape {m.shape}")
+        if np.abs(m.T @ m - np.eye(dim)).max() > 1e-9 or np.linalg.det(m) < 0:
+            raise ValueError("matrix is not a rotation")
+        if dim == 3:
+            return cls(Multivector(3, _shepperd(m, (1, 2, 4))))
+        lead = Multivector.scalar(4, 1.0)
+        if (m[:, 0] != (1.0, 0.0, 0.0, 0.0)).any():
+            image = Multivector.from_vector(4, m[:, 0])
+            e1 = Multivector.basis_vector(4, 1)
+            if m[0, 0] >= 0:
+                lead = normalize(geometric_product(image, e1) + 1.0)
+            else:  # the half-turn e1 e2 takes e1 to -e1, then on to its image
+                lead = geometric_product(normalize(1.0 - geometric_product(image, e1)),
+                                         Multivector.blade(4, "e12"))
+            m = cls(lead).matrix().T @ m
+        rest = Multivector(4, _shepperd(m[1:, 1:], (2, 4, 8)))
+        return cls(geometric_product(lead, rest))
+
     @property
     def dim(self) -> int:
         return self.mv.dim
@@ -400,3 +431,25 @@ class Rotor:
 
     def __repr__(self):
         return f"Rotor({self.mv!r})"
+
+
+def _shepperd(m: np.ndarray, axes: tuple) -> np.ndarray:
+    """Dense rotor coefficients of the 3 x 3 rotation ``m`` acting on the basis
+    vectors whose blade indices are ``axes``, by Shepperd's extraction (J.
+    Guidance & Control 1(3), 1978).  The symmetric matrix below is 4 q q^T for
+    the unit quaternion q = (w, x, y, z) of ``m``; its row with the largest
+    diagonal entry 4 q_i^2 gives q = row / (2 q_i), with q_i signed so that
+    w >= 0.  The rotor is w - z a1a2 + y a1a3 - x a2a3 on the axes a1, a2, a3."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
+    k = np.array([
+        [1.0 + m00 + m11 + m22, m21 - m12, m02 - m20, m10 - m01],
+        [m21 - m12, 1.0 + m00 - m11 - m22, m01 + m10, m02 + m20],
+        [m02 - m20, m01 + m10, 1.0 - m00 + m11 - m22, m12 + m21],
+        [m10 - m01, m02 + m20, m12 + m21, 1.0 - m00 - m11 + m22],
+    ])
+    i = int(np.argmax(np.diagonal(k)))
+    w, x, y, z = k[i] / np.copysign(2.0 * np.sqrt(k[i, i]), k[i, 0])  # w >= 0
+    a1, a2, a3 = axes
+    c = np.zeros(2 * a3)
+    c[0], c[a1 | a2], c[a1 | a3], c[a2 | a3] = w, -z, y, -x
+    return c

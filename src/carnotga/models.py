@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RotorDomain
-from .flags import frame_flag_36, frame_flag_47
+from .flags import flag_frame_36, flag_frame_47
 from .ga import (
     Multivector,
     Rotor,
@@ -593,6 +593,26 @@ def _aligned_fiber_47(params):
     )
 
 
+_MIDDLE_FLIP = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+
+
+def _action_36(q):
+    """x goes by q, and z through its dual vector (z23, -z13, z12): reversing
+    (z12, z13, z23) and flipping the middle sign maps it there and back."""
+    a = np.zeros((6, 6))
+    a[:3, :3] = q
+    a[3:, 3:] = q[::-1, ::-1] * _MIDDLE_FLIP
+    return a
+
+
+def _action_47(q):
+    """e1 stays fixed, and l and the y coefficients on e1^e2, e1^e3, e1^e4
+    go by q."""
+    a = np.eye(7)
+    a[1:4, 1:4] = a[4:, 4:] = q
+    return a
+
+
 @dataclass(frozen=True)
 class _ModelSpec:
     """What differs between the two models; the rest is derived from it.
@@ -617,7 +637,8 @@ class _ModelSpec:
     fold_abs: int  # sign fold: (K, u[2]) flip when K < 0, then u[fold_abs] -> |u[fold_abs]|
     t_floor: Callable  # invariants -> lower bound on the arrival time
     start: Callable  # (K column, t column, unit-cube draws) -> (S, d) start rows
-    flag: Callable  # dense Multivector -> flag
+    frame: Callable  # raw vector -> orthonormal 3 x 3 frame of its flag
+    action: Callable  # 3 x 3 rotation of the frames -> its matrix on raw vectors
     geodesic: Callable  # (params, t) -> point on the representative curve
     fiber: Callable
     rk4_rhs: Callable  # (momenta k, state components) -> their derivatives
@@ -710,7 +731,8 @@ _SPECS = {
         fold_abs=1,
         t_floor=lambda inv: np.sqrt(max(inv[0], 0.0)),
         start=_starts_36,
-        flag=frame_flag_36,
+        frame=flag_frame_36,
+        action=_action_36,
         geodesic=representative_geodesic_36,
         fiber=fiber_solution_36,
         rk4_rhs=_rk4_rhs_36,
@@ -733,7 +755,8 @@ _SPECS = {
         fold_abs=3,
         t_floor=lambda inv: np.sqrt(max(inv[0] ** 2 + inv[1], 0.0)),
         start=_starts_47,
-        flag=frame_flag_47,
+        frame=flag_frame_47,
+        action=_action_47,
         geodesic=representative_geodesic_47,
         fiber=fiber_solution_47,
         rk4_rhs=_rk4_rhs_47,

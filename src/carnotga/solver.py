@@ -15,6 +15,7 @@ loop; it exists to validate the closed forms against an independent route.
 from __future__ import annotations
 
 import contextlib
+import functools
 import sys
 from dataclasses import dataclass
 from numbers import Integral
@@ -64,17 +65,17 @@ _GA = sys.modules[__name__]
 def _residual_rows(spec, U: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Invariant mismatch plus level-set defect, one row per raw parameter row,
     from the closed-form invariants (``spec.ga_invariants`` is their reference).
-    Rows with |K| < 1e-10 or a non-finite curve point get the value _BIG."""
+    Rows with |K| < 1e-10 or a non-finite curve point get the value _BIG.  The
+    caller sets the numpy error context: overflows are expected here."""
     cols = U.T
     out = np.empty((len(U), len(target) + 1))
-    with np.errstate(all="ignore"):
-        vals = spec.geodesic_cols(*cols)
-        spec.invariant_cols(vals, out)
-        out[:, :-1] -= target
-        out[:, -1] = spec.level(*cols[:-1]) - 1.0
-        bad = (np.abs(cols[0]) < 1e-10) | ~np.isfinite(vals).all(axis=0)
-        if bad.any():
-            out[bad] = _BIG
+    vals = spec.geodesic_cols(*cols)
+    spec.invariant_cols(vals, out)
+    out[:, :-1] -= target
+    out[:, -1] = spec.level(*cols[:-1]) - 1.0
+    bad = (np.abs(cols[0]) < 1e-10) | ~np.isfinite(vals).all(axis=0)
+    if bad.any():
+        out[bad] = _BIG
     return out
 
 
@@ -88,7 +89,8 @@ def residual(model, params, t: float, target) -> np.ndarray:
     n = len(spec.invariant_names)
     if target.shape != (n,):
         raise ValueError(f"target for this model has {n} invariants")
-    return _residual_rows(spec, u[None], target)[0]
+    with np.errstate(all="ignore"):
+        return _residual_rows(spec, u[None], target)[0]
 
 
 def _norms(F: np.ndarray) -> np.ndarray:
@@ -307,11 +309,15 @@ class SolveResult:
     start_outcomes: dict
 
 
+@functools.lru_cache(maxsize=16)
 def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
-    """The draw of ``scipy.stats.qmc.LatinHypercube(d=d, seed=seed).random(n)``."""
+    """The draw of ``scipy.stats.qmc.LatinHypercube(d=d, seed=seed).random(n)``,
+    read-only, since each (n, d, seed) is drawn once and then shared."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=(n, d))
-    return (rng.permuted(np.tile(np.arange(1, n + 1), (d, 1)), axis=1).T - u) / n
+    draw = (rng.permuted(np.tile(np.arange(1, n + 1), (d, 1)), axis=1).T - u) / n
+    draw.flags.writeable = False
+    return draw
 
 
 def _starts(req: SolveRequest, spec) -> np.ndarray:

@@ -7,6 +7,13 @@ representative endpoint q_o, which shares the invariants of q_t; align the
 flags attached to q_o and q_t by a rotor R; and push the whole
 representative curve through R.  The resulting trajectory runs from the
 origin to q_t with the final point matching up to solver tolerance.
+
+The alignment reads the flags' orthonormal frames (``flags.flag_frame_36``
+and ``flag_frame_47``) off the raw coefficients: the rotation Q taking the
+frame of q_o onto that of q_t pushes the curve forward as one block matrix
+on raw coefficients, and R is ``Rotor.from_matrix`` of it.  The paper's
+flag walk, ``flags.align_flags`` on the flags of q_o and q_t, gives a rotor
+of the same action and is the reference the tests compare R against.
 """
 
 from __future__ import annotations
@@ -18,7 +25,9 @@ from numbers import Real
 import numpy as np
 
 from .errors import InfeasibleTarget
-from .flags import align_flags, frame_flag_36, frame_flag_47
+# the paper's flag walk, the reference of the frame-built rotor in the tests;
+# its names stay bound here, where tracing wraps this module's calls
+from .flags import align_flags, frame_flag_36, frame_flag_47  # noqa: F401
 from .ga import Multivector, Rotor, blade_index, sandwich
 from .models import Model, _as_model, _spec, invariants
 from .models import representative_geodesic_36, representative_geodesic_47
@@ -105,8 +114,8 @@ def coordinate_columns(model) -> tuple:
 
 
 def _bound(fn):
-    """This module's binding of the per-model function ``fn``: the flag builders
-    and representative curves are called through the names imported here, so a
+    """This module's binding of the per-model function ``fn``: the
+    representative curves are called through the names imported here, so a
     wrapper on one of them (the benchmark's traced run) sees every call."""
     return globals()[fn.__name__]
 
@@ -131,24 +140,26 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
     opts = options or SteerOptions()
     inv = compute_invariants(model, target)
     # flag degeneracy is an invariant condition, so the representative is
-    # degenerate exactly when the target is: its flag is built first, and a
-    # degenerate target raises without a solve that no root could rescue
-    flag, geodesic = _bound(spec.flag), _bound(spec.geodesic)
-    target_flag = flag(target)
+    # degenerate exactly when the target is: the target's frame is built
+    # first, and a degenerate target raises without a solve that no root
+    # could rescue
+    target_frame = spec.frame(target.coeffs[spec.index])
 
     shared = {f.name: getattr(opts, f.name) for f in fields(SolveOptions)}
     result = solve(SolveRequest(model=model, target=inv, **shared))
     chosen = result.solutions[0]  # minimal arrival time
     params = chosen.params
-    origin_end = geodesic(params, params.t_final)
-    rotor = align_flags(flag(origin_end.mv), target_flag)
 
     times = np.linspace(0.0, params.t_final, opts.samples)
     raw = spec.geodesic_raw(*astuple(params)[:-1], times)
-    # the sandwich is linear: its action on each model blade, applied to the
-    # raw curve as one matmul, pushes every sample through the rotor
-    action = np.array([sandwich(rotor, spec.mv(e)).coeffs for e in np.eye(len(spec.blades))])
-    coeffs = raw @ action
+    # the rotation taking the frame of the representative endpoint onto the
+    # target's aligns their flags; its matrix on raw coefficients pushes the
+    # whole curve forward in one matmul, and its block on the basis vectors
+    # gives the rotor
+    action = spec.action(target_frame @ spec.frame(raw[-1]).T)
+    coeffs = np.zeros((opts.samples, 1 << spec.dim))
+    coeffs[:, spec.index] = raw @ action.T
+    rotor = Rotor.from_matrix(action[:spec.dim, :spec.dim])
     err = float(np.max(np.abs(coeffs[-1] - target.coeffs)))
     if not err <= opts.acceptance_bound:  # a NaN error misses too
         raise InfeasibleTarget(

@@ -1,6 +1,8 @@
 """Algebra kernel tests: fixed examples, a brute-force table oracle, and
 hypothesis properties for the identities everything downstream leans on."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,3 +300,42 @@ def test_rotor_between_vectors_maps_and_preserves(rng):
             continue
         rot = rotor_between_vectors(x, y)
         assert np.allclose(sandwich(rot, x).coeffs, y.coeffs, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_rotor_from_matrix_acts_as_the_rotor(dim, rng):
+    # random rotors as in criterion 6, then rotors fixing e1 as the symmetry
+    # of the 47 model does: the extracted rotor acts as the drawn one on
+    # every basis blade, and a drawn rotor fixing e1 gives one without e1
+    blades = [Multivector(dim, row) for row in np.eye(1 << dim)]
+    e1 = Multivector.basis_vector(dim, 1)
+    draws = [(random_rotor(rng, dim), False) for _ in range(300)]
+    draws += [(random_rotor(rng, dim, fix_e1=True), True) for _ in range(300 if dim == 4 else 0)]
+    for rot, fixes_e1 in draws:
+        got = Rotor.from_matrix(rot.matrix())
+        for a in blades:
+            assert np.max(np.abs(sandwich(got, a).coeffs - sandwich(rot, a).coeffs)) < 1e-12
+        if fixes_e1:
+            assert np.all(got.coeffs[[3, 5, 9, 15]] == 0.0)  # e12, e13, e14, e1234
+            assert np.max(np.abs(sandwich(got, e1).coeffs - e1.coeffs)) < 1e-15
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_rotor_from_matrix_is_exact_at_half_turns(dim):
+    # the identity and every half-turn in a coordinate plane (and in G_4 the
+    # turns of two planes at once) come back exactly
+    for signs in itertools.product((1.0, -1.0), repeat=dim):
+        if np.prod(signs) < 0:
+            continue
+        want = np.diag(signs)
+        got = Rotor.from_matrix(want)
+        assert np.array_equal(got.matrix(), want)
+        assert np.count_nonzero(got.coeffs) == 1
+    assert np.array_equal(Rotor.from_matrix(np.eye(dim)).coeffs, Rotor.identity(dim).coeffs)
+
+
+def test_rotor_from_matrix_rejects_other_matrices():
+    for bad in (np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, 1.0, 1.0, -1.0]), 2.0 * np.eye(3),
+                np.eye(2), np.eye(5), np.full((3, 3), np.nan)):
+        with pytest.raises(ValueError):
+            Rotor.from_matrix(bad)

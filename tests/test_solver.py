@@ -86,11 +86,18 @@ def test_residual_rows_stack_equals_single_rows(rng):
         U[10, -1] = np.inf  # t = inf
         U[11, -2] = 1e160  # a huge C: invariants and level overflow, the curve does not
         target = rng.uniform(-5.0, 5.0, size=len(spec.invariant_names))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # guarded rows raise no warnings
+        with np.errstate(all="ignore"):  # the error context Newton runs the rows in
             rows = _residual_rows(spec, U, target)
             singles = np.array([_residual_rows(spec, u[None], target)[0] for u in U])
+            mirrored = _residual_rows(spec, np.abs(U), target)
         assert rows.tobytes() == singles.tobytes()
+        # the public residual sets its own context: the same rows, in the
+        # params' domain, raise no warnings there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            public = np.array([residual(model, spec.params_cls(*u), u[-1], target)
+                               for u in np.abs(U)])
+        assert public.tobytes() == mirrored.tobytes()
         guarded = np.zeros(len(U), bool)
         guarded[::7] = guarded[3] = guarded[8:11] = True
         assert np.all(rows[guarded] == _BIG)
@@ -715,6 +722,8 @@ def test_latin_hypercube_matches_scipy():
                 got = _latin_hypercube(n, d, seed)
                 want = qmc.LatinHypercube(d=d, seed=seed).random(n)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                # memoized, so every solve at this seed shares the one read-only draw
+                assert _latin_hypercube(n, d, seed) is got and not got.flags.writeable
 
 
 # --------------------------------------------------------------------------

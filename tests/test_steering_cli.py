@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -18,13 +19,19 @@ from carnotga import (
     DegenerateConfiguration,
     DependentVectors,
     FlagMismatch,
+    GeodesicParams36,
+    GeodesicParams47,
     InfeasibleTarget,
     Model,
     Multivector,
     NearZeroNorm,
     RotorDomain,
     SteerOptions,
+    align_flags,
     compute_invariants,
+    flag_margin,
+    frame_flag_36,
+    frame_flag_47,
     point_from_blade_map,
     point_to_blade_map,
     report_to_dict,
@@ -108,6 +115,75 @@ def test_steered_block_matches_algebra_reference(ref36_target, ref47_target):
         assert np.max(np.abs(report.coeffs - want)) <= 1e-14
         assert np.array_equal([p.coeffs for p in report.points], report.coeffs)
         assert np.array_equal(report.endpoint.coeffs, report.coeffs[-1])
+
+
+def _pool_targets():
+    """The 48 forward-generated targets of the benchmark's round-trip pool: 24
+    representative endpoints per model, drawn with generator seed 0 and kept
+    5e-2 from the collinearity locus where the flags degenerate."""
+    rng = np.random.default_rng(0)
+    targets = []
+    for _ in range(24):
+        for model in Model:
+            while True:
+                k, angle, t = rng.uniform(0.3, 3.0), rng.uniform(0.15, np.pi - 0.15), rng.uniform(1.0, 9.0)
+                if model is Model.M36:
+                    point = representative_geodesic_36(
+                        GeodesicParams36(k, np.sin(angle), np.cos(angle), t), t)
+                else:
+                    psi, r = rng.uniform(0.0, 2.0 * np.pi), np.sin(angle) / k
+                    point = representative_geodesic_47(
+                        GeodesicParams47(k, r * np.cos(psi), r * np.sin(psi), np.cos(angle), t), t)
+                if flag_margin(model, point) >= 5e-2:
+                    targets.append((model, point.mv))
+                    break
+    return targets
+
+
+def _octahedral_turns(model, table):
+    """The point of a blade map under each of the 24 rotations that permute the
+    axes with signs: for 36, x and the dual vector (z23, -z13, z12) of z turn;
+    for 47, e1 stays and l and (y12, y13, y14) turn."""
+    c = point_from_blade_map(model, table).coeffs
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            turn = np.zeros((3, 3))
+            turn[range(3), perm] = signs
+            if np.linalg.det(turn) < 0:
+                continue
+            if model is Model.M36:
+                x, (z23, mz13, z12) = turn @ c[[1, 2, 4]], turn @ [c[6], -c[5], c[3]]
+                yield mv(3, e1=x[0], e2=x[1], e3=x[2], e12=z12, e13=-mz13, e23=z23)
+            else:
+                lvec, y = turn @ c[[2, 4, 8]], turn @ c[[3, 5, 9]]
+                yield mv(4, e1=c[1], e2=lvec[0], e3=lvec[1], e4=lvec[2],
+                         e12=y[0], e13=y[1], e14=y[2])
+
+
+def test_frame_rotor_acts_as_the_flag_walk(rng):
+    # steer builds its rotor from orthonormal frames; the paper's flag walk,
+    # align_flags on the flags of the representative endpoint and the target,
+    # is its reference: the two act alike on every basis blade.  Targets: the
+    # pool targets, each turned by a random rotor, and both documented targets
+    # under all 24 axis-permuting rotations
+    targets = [(model, sandwich(random_rotor(rng, point.dim, fix_e1=model is Model.M47), point))
+               for model, point in _pool_targets()]
+    for model, table in ((Model.M36, REF36_TARGET), (Model.M47, REF47_TARGET)):
+        targets += [(model, target) for target in _octahedral_turns(model, table)]
+    assert len(targets) == 96
+    flags = {Model.M36: (frame_flag_36, representative_geodesic_36),
+             Model.M47: (frame_flag_47, representative_geodesic_47)}
+    worst = dict.fromkeys(Model, 0.0)
+    for model, target in targets:
+        report = steer(model, target, SteerOptions(early_stop=1, samples=2))
+        flag, geodesic = flags[model]
+        origin_end = geodesic(report.params, report.params.t_final).mv
+        walk = align_flags(flag(origin_end), flag(target))
+        for a in np.eye(1 << target.dim):
+            a = Multivector(target.dim, a)
+            gap = np.max(np.abs(sandwich(report.rotor, a).coeffs - sandwich(walk, a).coeffs))
+            worst[model] = max(worst[model], gap)
+    assert max(worst.values()) <= 1e-10, worst
 
 
 def test_report_rejects_off_model_coefficients(ref47_target):

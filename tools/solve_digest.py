@@ -1,5 +1,6 @@
-"""Print two sha256 digests per group of moduli solves: one over the
-exhaustive solves, one over the early-stop solves.
+"""Print two sha256 digests per group of moduli solves, one over the
+exhaustive solves and one over the early-stop solves, then one over steer
+reports.
 
 Two checkouts that print the same line solve every target of that group to
 the same bits on that path: each solve contributes the hex form of every
@@ -18,6 +19,10 @@ as they are.  The groups:
 - ``straight``: straight segments of length 1, 5 and 9 per model, where a
   root leaves K free and the orbit-signature dedup merges roots.
 
+The last line hashes the ``report_to_dict`` JSON of both documented targets
+steered with default options at seeds 0 and 11: it moves whenever a report's
+bytes do, the rotor and trajectory included, while the solve lines stay.
+
 Uses numpy and the standard library only.  Run from the repository root:
 
     PYTHONPATH=src python3 tools/solve_digest.py
@@ -26,6 +31,7 @@ Uses numpy and the standard library only.  Run from the repository root:
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import astuple
 
 import numpy as np
@@ -36,15 +42,27 @@ from carnotga import (
     InfeasibleTarget,
     Model,
     SolveRequest,
+    SteerOptions,
+    compute_invariants,
     flag_margin,
     invariants_36,
     invariants_47,
+    point_from_blade_map,
+    report_to_dict,
     representative_geodesic_36,
     representative_geodesic_47,
     solve,
+    steer,
 )
 
-DOCUMENTED = ((Model.M36, (14.0, -9.0, 3.0)), (Model.M47, (1.0, 14.0, -6.0, -9.0)))
+DOCUMENTED_POINTS = (
+    (Model.M36, point_from_blade_map(
+        Model.M36, {"e1": 2.0, "e2": -1.0, "e3": 3.0, "e12": 1.0, "e13": -2.0, "e23": -2.0})),
+    (Model.M47, point_from_blade_map(
+        Model.M47, {"e1": 1.0, "e2": 2.0, "e3": 1.0, "e4": 3.0, "e12": -1.0, "e13": 2.0, "e14": 2.0})),
+)
+# (14, -9, 3) and (1, 14, -6, -9)
+DOCUMENTED = tuple((model, compute_invariants(model, point)) for model, point in DOCUMENTED_POINTS)
 
 
 def forward_targets() -> list:
@@ -103,6 +121,13 @@ def main() -> None:
                     h.update((solve_line(model, target, early_stop) + "\n").encode())
             print(f"{name:<10} {path:<10} {len(early_stops) * len(targets):3d} solves  "
                   f"sha256 {h.hexdigest()}")
+    h = hashlib.sha256()
+    for model, point in DOCUMENTED_POINTS:
+        for seed in (0, 11):
+            report = steer(model, point, SteerOptions(seed=seed))
+            h.update((json.dumps(report_to_dict(report)) + "\n").encode())
+    print(f"{'documented':<10} {'reports':<10} {2 * len(DOCUMENTED_POINTS):3d} steers  "
+          f"sha256 {h.hexdigest()}")
 
 
 if __name__ == "__main__":
