@@ -15,8 +15,9 @@ n_w and a unit vector picked inside the stage subspace, which flips the
 stage blade onto its target while fixing the already-aligned stages.
 
 The model flags also have orthonormal frames, read off raw coefficients by
-``flag_frame_36/47``: the steering pipeline builds its rotor from the
-rotation between two such frames, and this flag walk is its reference.
+``_ModelSpec.frame`` in ``models``: the steering pipeline builds its rotor
+from the rotation between two such frames, and this flag walk is its
+reference.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ DEGENERATE_TOL = 1e-9
 # threshold on 1 + n_w . n_v below which the two-vector rotor formula is
 # abandoned for the half-turn recovery
 ANTIPODAL_TOL = 1e-10
-
-# the cross product of 3-vectors, u x v = u[_NEXT] v[_PREV] - u[_PREV] v[_NEXT]
-_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 @dataclass(frozen=True)
@@ -313,71 +311,6 @@ def frame_flag_47(q: Multivector) -> Flag:
     if space.norm() <= DEGENERATE_TOL:
         raise DegenerateConfiguration("bivector is dependent on the vector direction")
     return Flag((lh, plane, space, pseudoscalar(4)))
-
-
-def flag_frame_36(raw) -> np.ndarray:
-    """Right-handed orthonormal frame, as columns, of the flag of
-    ``frame_flag_36``, from the raw coefficients (x1, x2, x3, z12, z13, z23):
-    the first column along x, the second in the plane of x and the dual
-    vector of z.  The rotation between the frames of two points aligns their
-    flags.  Raises DegenerateConfiguration where ``frame_flag_36`` does."""
-    x, (z12, z13, z23) = raw[:3], raw[3:]
-    zs = np.array([-z23, z13, -z12])  # z I: e12 -> -e3, e13 -> e2, e23 -> -e1
-    nx, nz = np.sqrt(x @ x), np.sqrt(zs @ zs)
-    if nx <= DEGENERATE_TOL or nz <= DEGENERATE_TOL:
-        raise DegenerateConfiguration("point has a vanishing vector or bivector part")
-    return _frame(x / nx, zs / nz, "vector part is parallel to the bivector normal")
-
-
-def flag_frame_47(raw) -> np.ndarray:
-    """The frame of ``flag_frame_36`` for the flag of ``frame_flag_47``, on
-    e2, e3, e4, from the raw coefficients (x, l1, l2, l3, y12, y13, y14): the
-    first column along l, the second in the plane of l and (y12, y13, y14).
-    The flag's e1 stages need no column, since every symmetry of the model
-    fixes e1.  Raises DegenerateConfiguration where ``frame_flag_47`` does."""
-    lvec, y = raw[1:4], raw[4:7]
-    nl, ny = np.sqrt(lvec @ lvec), np.sqrt(y @ y)
-    if nl <= DEGENERATE_TOL or ny <= DEGENERATE_TOL:
-        raise DegenerateConfiguration("point has a vanishing vector or bivector part")
-    lh, yh = lvec / nl, y / ny
-    if abs(lh @ yh) <= DEGENERATE_TOL:  # the norm of l . y, which is along e1
-        raise DegenerateConfiguration("contraction of the vector onto the bivector vanishes")
-    return _frame(lh, yh, "bivector is dependent on the vector direction")
-
-
-def _frame(a: np.ndarray, b: np.ndarray, collinear: str) -> np.ndarray:
-    """Columns a, the unit part of b orthogonal to a, and a x b normalized,
-    for unit vectors a and b; DegenerateConfiguration(collinear) when
-    |a x b|, the norm of a ^ b, is at most DEGENERATE_TOL."""
-    c = a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT]
-    if np.sqrt(c @ c) <= DEGENERATE_TOL:
-        raise DegenerateConfiguration(collinear)
-    # near the locus a x b has a relative error of about 1e-16 / |a x b|; a
-    # projection off a keeps the frame orthonormal to rounding all the same
-    c = c - (c @ a) * a
-    c = c / np.sqrt(c @ c)
-    return np.column_stack((a, c[_NEXT] * a[_PREV] - c[_PREV] * a[_NEXT], c))
-
-
-def flag_margin(model, point) -> float:
-    """Distance of a point from the collinearity locus where its flag
-    degenerates, between 0 and 1: for 36 the sine of the angle between x and
-    the dual vector of z, for 47 the smaller of |cos| and sin of the angle
-    between l and the e1^e2, e1^e3, e1^e4 coefficients of y.  It is 0 when
-    either part has a norm below 1e-6; a point of the other model raises
-    ValueError."""
-    from .models import Model, _as_model, _spec  # models imports this module
-
-    model = _as_model(model)
-    _spec(model).point_mv(point)
-    m36 = model is Model.M36
-    a, b = (point.x_coords, point.z_vector) if m36 else (point.l_coords, point.y_coords)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < 1e-6 or nb < 1e-6:
-        return 0.0
-    a, b = a / na, b / nb
-    cross = float(np.linalg.norm(np.cross(a, b)))
-    return cross if m36 else min(abs(float(a @ b)), cross)
 
 
 def flag_is_nested(flag: Flag, tol: float = 1e-9) -> bool:

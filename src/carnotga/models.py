@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RotorDomain
-from .flags import flag_frame_36, flag_frame_47
+from .errors import DegenerateConfiguration, RotorDomain
+from .flags import DEGENERATE_TOL
 from .ga import (
     Multivector,
     Rotor,
@@ -46,6 +46,8 @@ from .ga import (
 )
 
 _E1_4 = "e1"
+# the cross product of 3-vectors, u x v = u[_NEXT] v[_PREV] - u[_PREV] v[_NEXT]
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 # the algebra names bound in this module, handed to the shared invariant
 # formulas (see _ga_invariants_36)
 _GA = sys.modules[__name__]
@@ -477,6 +479,22 @@ def so3_action(model, rotor: Rotor, point, tol: float = 1e-9):
     return spec.point_cls(sandwich(rotor, mv))
 
 
+def flag_margin(model, point) -> float:
+    """Distance of a point from the locus where its flag degenerates, between
+    0 and 1: the sine of the angle between the two flag vectors (x and z's
+    dual vector for 36, l and y for 47), for 47 the smaller of it and the
+    |cosine|.  It is 0 when either vector has a norm below 1e-6; a point of
+    the other model raises ValueError."""
+    spec = _spec(model)
+    a, b = spec.flag_vectors(spec.point_mv(point).coeffs[spec.index])
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na < 1e-6 or nb < 1e-6:
+        return 0.0
+    a, b = a / na, b / nb
+    cross = float(np.linalg.norm(np.cross(a, b)))
+    return min(abs(float(a @ b)), cross) if spec.fixed_axes else cross
+
+
 # ---------------------------------------------------------------------------
 # printed closed-form invariants (audit surface)
 
@@ -593,26 +611,6 @@ def _aligned_fiber_47(params):
     )
 
 
-_MIDDLE_FLIP = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
-
-
-def _action_36(q):
-    """x goes by q, and z through its dual vector (z23, -z13, z12): reversing
-    (z12, z13, z23) and flipping the middle sign maps it there and back."""
-    a = np.zeros((6, 6))
-    a[:3, :3] = q
-    a[3:, 3:] = q[::-1, ::-1] * _MIDDLE_FLIP
-    return a
-
-
-def _action_47(q):
-    """e1 stays fixed, and l and the y coefficients on e1^e2, e1^e3, e1^e4
-    go by q."""
-    a = np.eye(7)
-    a[1:4, 1:4] = a[4:, 4:] = q
-    return a
-
-
 @dataclass(frozen=True)
 class _ModelSpec:
     """What differs between the two models; the rest is derived from it.
@@ -637,12 +635,11 @@ class _ModelSpec:
     fold_abs: int  # sign fold: (K, u[2]) flip when K < 0, then u[fold_abs] -> |u[fold_abs]|
     t_floor: Callable  # invariants -> lower bound on the arrival time
     start: Callable  # (K column, t column, unit-cube draws) -> (S, d) start rows
-    frame: Callable  # raw vector -> orthonormal 3 x 3 frame of its flag
-    action: Callable  # 3 x 3 rotation of the frames -> its matrix on raw vectors
     geodesic: Callable  # (params, t) -> point on the representative curve
     fiber: Callable
     rk4_rhs: Callable  # (momenta k, state components) -> their derivatives
     aligned_fiber: Callable  # params -> (kvec, fiber constants)
+    collinear: str  # why the flag degenerates where its two vectors are collinear
     fixed_axes: tuple = ()  # basis vectors every symmetry rotor must fix
 
     @cached_property
@@ -712,6 +709,61 @@ class _ModelSpec:
         """Representative curve of raw parameters u at time t."""
         return self.mv(self.geodesic_raw(*u[:-1], t))
 
+    @cached_property
+    def _flag_axes(self) -> tuple:
+        """Raw positions and signs, six each, of the two vectors the flag is
+        built from: the classical coordinates after the fixed axes, three
+        horizontal (x, or l), then three vertical (z's dual vector, or y)."""
+        cols = self.columns[len(self.fixed_axes):]
+        return tuple(np.array([c[k] for c in cols]) for k in (1, 2))
+
+    @cached_property
+    def _action_blocks(self) -> tuple:
+        """Flat indices, in a matrix on raw vectors, of the two 3 x 3 blocks
+        that move the flag vectors, and the sign of each block entry."""
+        pos, sign = (v.reshape(2, 3) for v in self._flag_axes)
+        flat = pos[:, :, None] * len(self.blades) + pos[:, None, :]
+        return flat.ravel(), sign[:, :, None] * sign[:, None, :]
+
+    def flag_vectors(self, raw) -> tuple:
+        """The two 3-vectors of the flag of a raw coefficient vector."""
+        pos, sign = self._flag_axes
+        v = raw[pos] * sign
+        return v[:3], v[3:]
+
+    def frame(self, raw) -> np.ndarray:
+        """Right-handed orthonormal frame, as columns, of the flag of
+        ``frame_flag_36/47`` from a raw coefficient vector: the first column
+        along the first flag vector, the second in its plane with the other
+        (for 36 the plane x ^ z_vec = -(x ^ z I)), the third their cross
+        product.  The rotation between the frames of two points aligns their
+        flags; the fixed axes need no column, since every symmetry fixes them.
+        Raises DegenerateConfiguration, with the same message, where
+        ``frame_flag_36/47`` does."""
+        a, b = self.flag_vectors(raw)
+        na, nb = np.sqrt(a @ a), np.sqrt(b @ b)
+        if na <= DEGENERATE_TOL or nb <= DEGENERATE_TOL:
+            raise DegenerateConfiguration("point has a vanishing vector or bivector part")
+        a, b = a / na, b / nb
+        if self.fixed_axes and abs(a @ b) <= DEGENERATE_TOL:  # the norm of l . y, along e1
+            raise DegenerateConfiguration("contraction of the vector onto the bivector vanishes")
+        c = a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT]
+        if np.sqrt(c @ c) <= DEGENERATE_TOL:  # |a x b|, the norm of a ^ b
+            raise DegenerateConfiguration(self.collinear)
+        # near the locus a x b has a relative error of about 1e-16 / |a x b|; a
+        # projection off a keeps the frame orthonormal to rounding all the same
+        c = c - (c @ a) * a
+        c = c / np.sqrt(c @ c)
+        return np.column_stack((a, c[_NEXT] * a[_PREV] - c[_PREV] * a[_NEXT], c))
+
+    def action(self, q) -> np.ndarray:
+        """Matrix on raw vectors of the rotation q of the frames: both flag
+        vectors go by q, and the fixed axes stay."""
+        flat, signs = self._action_blocks
+        a = np.eye(len(self.blades))
+        a.flat[flat] = q * signs
+        return a
+
 
 _SPECS = {
     Model.M36: _ModelSpec(
@@ -731,12 +783,11 @@ _SPECS = {
         fold_abs=1,
         t_floor=lambda inv: np.sqrt(max(inv[0], 0.0)),
         start=_starts_36,
-        frame=flag_frame_36,
-        action=_action_36,
         geodesic=representative_geodesic_36,
         fiber=fiber_solution_36,
         rk4_rhs=_rk4_rhs_36,
         aligned_fiber=_aligned_fiber_36,
+        collinear="vector part is parallel to the bivector normal",
     ),
     Model.M47: _ModelSpec(
         blades=("e1", "e2", "e3", "e4", "e12", "e13", "e14"),
@@ -755,12 +806,11 @@ _SPECS = {
         fold_abs=3,
         t_floor=lambda inv: np.sqrt(max(inv[0] ** 2 + inv[1], 0.0)),
         start=_starts_47,
-        frame=flag_frame_47,
-        action=_action_47,
         geodesic=representative_geodesic_47,
         fiber=fiber_solution_47,
         rk4_rhs=_rk4_rhs_47,
         aligned_fiber=_aligned_fiber_47,
+        collinear="bivector is dependent on the vector direction",
         fixed_axes=(_E1_4,),
     ),
 }

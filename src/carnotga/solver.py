@@ -226,6 +226,13 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
     return U, FU, np.abs(FU).max(axis=1) < tol, its
 
 
+def _require_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer; numpy integers pass,
+    and bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(kw_only=True)
 class SolveOptions:
     """The knobs of a moduli solve, shared by ``SolveRequest`` and the
@@ -257,6 +264,8 @@ class SolveOptions:
     early_stop: int | None = None
 
     def __post_init__(self):
+        for name in ("max_starts", "seed") + (() if self.early_stop is None else ("early_stop",)):
+            _require_integer(name, getattr(self, name))
         if not (self.k_max > 0 and self.t_max > 0 and self.tolerance > 0):
             raise ValueError("bounds and tolerance must be positive")
         if not (self.k_max < np.inf and self.t_max < np.inf):

@@ -8,12 +8,13 @@ flags attached to q_o and q_t by a rotor R; and push the whole
 representative curve through R.  The resulting trajectory runs from the
 origin to q_t with the final point matching up to solver tolerance.
 
-The alignment reads the flags' orthonormal frames (``flags.flag_frame_36``
-and ``flag_frame_47``) off the raw coefficients: the rotation Q taking the
+The alignment reads the flags' orthonormal frames (``spec.frame`` of the
+model's ``_ModelSpec``) off the raw coefficients: the rotation Q taking the
 frame of q_o onto that of q_t pushes the curve forward as one block matrix
-on raw coefficients, and R is ``Rotor.from_matrix`` of it.  The paper's
-flag walk, ``flags.align_flags`` on the flags of q_o and q_t, gives a rotor
-of the same action and is the reference the tests compare R against.
+on raw coefficients (``spec.action``), and R is ``Rotor.from_matrix`` of
+it.  The paper's flag walk, ``flags.align_flags`` on the flags of q_o and
+q_t, gives a rotor of the same action and is the reference the tests
+compare R against.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .flags import align_flags, frame_flag_36, frame_flag_47  # noqa: F401
 from .ga import Multivector, Rotor, blade_index, sandwich
 from .models import Model, _as_model, _spec, invariants
 from .models import representative_geodesic_36, representative_geodesic_47
-from .solver import SolveOptions, SolveRequest, solve
+from .solver import SolveOptions, SolveRequest, _require_integer, solve
 
 
 @dataclass(kw_only=True)
@@ -43,6 +44,7 @@ class SteerOptions(SolveOptions):
     acceptance_bound: float = 5e-2
 
     def __post_init__(self):
+        _require_integer("samples", self.samples)
         if self.samples < 2:
             raise ValueError("at least two trajectory samples are required")
         if not self.acceptance_bound > 0:

@@ -32,7 +32,7 @@ from carnotga import (
     rotor_between_vectors,
     sandwich,
 )
-from carnotga.flags import flag_frame_36, flag_frame_47, flag_is_nested
+from carnotga.flags import flag_is_nested
 from carnotga.models import _spec
 from conftest import (
     REF36_ROTOR_STEP1,
@@ -483,16 +483,16 @@ def test_reference_alignment_steps_47(ref47_target):
 
 
 def test_flag_frames_degenerate_where_the_flags_do(rng):
-    # the frame builders read raw coefficients and raise DegenerateConfiguration,
+    # spec.frame reads raw coefficients and raises DegenerateConfiguration,
     # with the same message, exactly where frame_flag_36/47 raise it.  400
     # random points per model: a quarter generic, a quarter with a vector or
     # bivector part that vanishes or nearly does, a quarter on the
     # collinearity locus (for 47 also where l . y vanishes) and a quarter near
-    # it.  Where they do not raise, the frame is orthonormal and right-handed
+    # it.  Where it does not raise, the frame is orthonormal and right-handed
     # and its first column is the flag's line; at generic points its first
-    # two columns span the flag's plane (for 47 together with e1, its 3-space)
-    cases = ((Model.M36, flag_frame_36, frame_flag_36), (Model.M47, flag_frame_47, frame_flag_47))
-    for model, frame_of, flag_of in cases:
+    # two columns span the flag's plane, for 36 with the opposite orientation
+    # (x ^ z_vec = -(x ^ z I)), for 47 together with e1 its 3-space
+    for model, flag_of in ((Model.M36, frame_flag_36), (Model.M47, frame_flag_47)):
         spec = _spec(model)
         dim = spec.dim
         raised = 0
@@ -514,14 +514,14 @@ def test_flag_frames_degenerate_where_the_flags_do(rng):
             except DegenerateConfiguration as exc:
                 raised += 1
                 with pytest.raises(DegenerateConfiguration, match=f"^{exc}$"):
-                    frame_of(raw)
+                    spec.frame(raw)
                 continue
-            frame = frame_of(raw)
+            frame = spec.frame(raw)
             assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-12
             assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-12)
             f1, f2 = (Multivector.from_vector(dim, np.r_[np.zeros(dim - 3), col]) for col in frame.T[:2])
             assert f1.isclose(flag.blades[0], atol=1e-12)
             if i % 4 == 0:  # near the locus the plane is known to about 1e-16 / margin
                 span = outer_product(f1, f2) if model is Model.M36 else outer_product(outer_product(f1, e(4, 1)), f2)
-                assert span.isclose(flag.blades[1 if model is Model.M36 else 2], atol=1e-12)
+                assert span.isclose(-flag.blades[1] if model is Model.M36 else flag.blades[2], atol=1e-12)
         assert 150 <= raised <= 300

@@ -584,6 +584,31 @@ def test_so3_action_rejects_e1_moving_rotor(rng):
         so3_action(Model.M47, rot, q)
 
 
+def test_spec_action_equals_the_algebra_action(rng):
+    # spec.action(q), the matrix steer pushes raw coefficients through, against
+    # so3_action by the rotor of q (of diag(1, q) for 47): 200 rotations per
+    # model, every fourth a half-turn.  The flag vectors it rotates are the
+    # points' own coordinates, bit for bit
+    for model in Model:
+        spec = _spec(model)
+        for i in range(200):
+            if i % 4:
+                q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+                q *= np.sign(np.linalg.det(q))  # det(-q) = -det(q)
+            else:
+                n = rng.normal(size=3)
+                q = 2.0 * np.outer(n, n) / (n @ n) - np.eye(3)
+            matrix = np.eye(spec.dim)
+            matrix[-3:, -3:] = q
+            raw = rng.uniform(-2.0, 2.0, size=len(spec.blades))
+            point = spec.point_cls(spec.mv(raw))
+            want = so3_action(model, Rotor.from_matrix(matrix), point).mv.coeffs[spec.index]
+            assert np.abs(spec.action(q) @ raw - want).max() < 1e-13
+            coords = ((point.x_coords, point.z_vector) if model is Model.M36
+                      else (point.l_coords, point.y_coords))
+            assert [v.tobytes() for v in spec.flag_vectors(raw)] == [v.tobytes() for v in coords]
+
+
 # --------------------------------------------------------------------------
 # printed closed-form invariants (audit surface)
 

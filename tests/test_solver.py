@@ -699,6 +699,21 @@ def test_solve_request_validation():
     assert all(getattr(SteerOptions(), f.name) == f.default for f in knobs)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("max_starts", 8.0), ("max_starts", True), ("seed", 2.0), ("seed", False),
+    ("early_stop", 1.5), ("early_stop", True), ("samples", 2.5), ("samples", True),
+])
+def test_options_reject_counts_that_are_not_integers(name, value):
+    # such counts raised TypeError deep in numpy, or for early_stop meant no
+    # early stop; numpy integers stay accepted
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        SteerOptions(**{name: value})
+    if name != "samples":
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            SolveRequest(model=Model.M36, target=(1.0, 2.0, 3.0), **{name: value})
+    assert getattr(SteerOptions(**{name: np.int64(3)}), name) == 3
+
+
 def test_k_starts_lie_in_the_search_box():
     # the K starts spread over (0, k_max] for every bound; from k_max 0.1 up
     # they start at 0.05 and keep the draws they always had

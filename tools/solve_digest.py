@@ -19,9 +19,17 @@ as they are.  The groups:
 - ``straight``: straight segments of length 1, 5 and 9 per model, where a
   root leaves K free and the orbit-signature dedup merges roots.
 
-The last line hashes the ``report_to_dict`` JSON of both documented targets
-steered with default options at seeds 0 and 11: it moves whenever a report's
-bytes do, the rotor and trajectory included, while the solve lines stay.
+Two lines hash ``report_to_dict`` JSON of steer reports: they move
+whenever a report's bytes do, the rotor and trajectory included, while the
+solve lines stay.
+
+- ``documented reports``: both documented targets steered with default
+  options at seeds 0 and 11;
+- ``forward rotated``: the 48 forward endpoints, each moved by its own
+  generic rotor through ``so3_action`` (rotors fixing e1 for 47), steered
+  with ``early_stop`` 1 and two samples.  The documented reports meet only
+  four rotations; these meet 48 generic ones, so a change to the bits of
+  the flag frames, their rotation's action or its rotor shows here.
 
 Uses numpy and the standard library only.  Run from the repository root:
 
@@ -41,16 +49,20 @@ from carnotga import (
     GeodesicParams47,
     InfeasibleTarget,
     Model,
+    Multivector,
+    Rotor,
     SolveRequest,
     SteerOptions,
+    blade_index,
     compute_invariants,
     flag_margin,
-    invariants_36,
-    invariants_47,
+    invariants,
+    normalize,
     point_from_blade_map,
     report_to_dict,
     representative_geodesic_36,
     representative_geodesic_47,
+    so3_action,
     solve,
     steer,
 )
@@ -65,25 +77,40 @@ DOCUMENTED_POINTS = (
 DOCUMENTED = tuple((model, compute_invariants(model, point)) for model, point in DOCUMENTED_POINTS)
 
 
-def forward_targets() -> list:
-    """Invariants of 24 forward-generated endpoints per model."""
+def forward_points() -> list:
+    """24 forward-generated endpoints per model."""
     rng = np.random.default_rng(0)
-    targets = []
+    points = []
     for _ in range(24):
         for model in Model:
             while True:
                 k, angle, t = rng.uniform(0.3, 3.0), rng.uniform(0.15, np.pi - 0.15), rng.uniform(1.0, 9.0)
                 if model is Model.M36:
                     params = GeodesicParams36(k, np.sin(angle), np.cos(angle), t)
-                    point, inv = representative_geodesic_36(params, t), invariants_36
+                    point = representative_geodesic_36(params, t)
                 else:
                     psi, r = rng.uniform(0.0, 2.0 * np.pi), np.sin(angle) / k
                     params = GeodesicParams47(k, r * np.cos(psi), r * np.sin(psi), np.cos(angle), t)
-                    point, inv = representative_geodesic_47(params, t), invariants_47
+                    point = representative_geodesic_47(params, t)
                 if flag_margin(model, point) >= 5e-2:
-                    targets.append((model, inv(point).as_tuple()))
+                    points.append((model, point))
                     break
-    return targets
+    return points
+
+
+def rotated(points) -> list:
+    """Each point moved by its own rotor, normalized from four normal draws
+    (generator seed 7) on the scalar and the rotation planes: those of
+    e1, e2, e3 for 36, and those of e2, e3, e4, which fix e1, for 47."""
+    rng = np.random.default_rng(7)
+    moved = []
+    for model, point in points:
+        dim = point.mv.dim
+        planes = ("e12", "e13", "e23") if model is Model.M36 else ("e23", "e24", "e34")
+        c = np.zeros(1 << dim)
+        c[[0, *map(blade_index, planes)]] = rng.normal(size=4)
+        moved.append((model, so3_action(model, Rotor(normalize(Multivector(dim, c))), point).mv))
+    return moved
 
 
 def random_targets() -> list:
@@ -110,8 +137,19 @@ def solve_line(model: Model, target: tuple, early_stop) -> str:
             f"{result.converged} {result.newton_iterations} {result.residual_rows}")
 
 
+def steer_line(model: Model, point, options: SteerOptions) -> str:
+    """The report of one steer as JSON, or the text of the InfeasibleTarget
+    it raised."""
+    try:
+        return json.dumps(report_to_dict(steer(model, point, options)))
+    except InfeasibleTarget as exc:
+        return f"{model.value} infeasible {exc}"
+
+
 def main() -> None:
-    groups = (("documented", DOCUMENTED), ("forward", forward_targets()),
+    forward = forward_points()
+    groups = (("documented", DOCUMENTED),
+              ("forward", [(model, invariants(model, point).as_tuple()) for model, point in forward]),
               ("random", random_targets()), ("straight", straight_targets()))
     for name, targets in groups:
         for path, early_stops in (("exhaustive", (None,)), ("early_stop", (1, 2))):
@@ -121,13 +159,15 @@ def main() -> None:
                     h.update((solve_line(model, target, early_stop) + "\n").encode())
             print(f"{name:<10} {path:<10} {len(early_stops) * len(targets):3d} solves  "
                   f"sha256 {h.hexdigest()}")
-    h = hashlib.sha256()
-    for model, point in DOCUMENTED_POINTS:
-        for seed in (0, 11):
-            report = steer(model, point, SteerOptions(seed=seed))
-            h.update((json.dumps(report_to_dict(report)) + "\n").encode())
-    print(f"{'documented':<10} {'reports':<10} {2 * len(DOCUMENTED_POINTS):3d} steers  "
-          f"sha256 {h.hexdigest()}")
+    for name, path, steers in (
+            ("documented", "reports", [(model, point, SteerOptions(seed=seed))
+                                       for model, point in DOCUMENTED_POINTS for seed in (0, 11)]),
+            ("forward", "rotated", [(model, point, SteerOptions(early_stop=1, samples=2))
+                                    for model, point in rotated(forward)])):
+        h = hashlib.sha256()
+        for model, point, options in steers:
+            h.update((steer_line(model, point, options) + "\n").encode())
+        print(f"{name:<10} {path:<10} {len(steers):3d} steers  sha256 {h.hexdigest()}")
 
 
 if __name__ == "__main__":
