@@ -10,7 +10,6 @@ from carnotga import (
     Model,
     Model36Point,
     Multivector,
-    SolveRequest,
     invariants_36,
     normalize,
     representative_geodesic_36,
@@ -33,9 +32,12 @@ print("rotated point:", rotated.mv)
 print("its invariants:", tuple(round(v, 12) for v in invariants_36(rotated).as_tuple()))
 
 print("\n== inverting the invariant map ==")
-result = solve(SolveRequest(model=Model.M36, target=inv.as_tuple()))
+result = solve(Model.M36, inv.as_tuple())
 print(f"starts {result.starts_attempted}, converged {result.converged}, "
       f"distinct roots {len(result.solutions)}")
+# a converged start that traces the curve of an accepted root (same orbit
+# signature) counts as a duplicate, whatever its parameters
+print("start outcomes:", result.start_outcomes)
 for sol in result.solutions:
     p = sol.params
     print(f"  K={p.K:.4f} D={p.D:.4f} C3={p.C3:.4f} t={p.t_final:.4f} "

@@ -24,10 +24,9 @@ import numpy as np
 
 from .errors import InfeasibleTarget
 from .ga import geometric_product, grade_project, inner_product, outer_product
-from .models import Model, _as_model, _spec
+from .models import _as_model, _spec
 
 _BIG = 1e12
-_DEDUP_RADIUS = 1e-6  # roots this close in every raw parameter count as one
 _HALVINGS = 0.5 ** np.arange(21)  # line-search step sizes 1 down to 2^-20
 _ARMIJO = 1.0 - 1e-4 * _HALVINGS  # the norm fraction each step size must beat
 # starts per Newton batch under early_stop; a block screens each start as it
@@ -55,8 +54,8 @@ _STALL_DROP = 0.01
 _BATCH = 1024
 # what became of each start: accepted, the filter that rejected it, or not
 # screened before an early stop
-_OUTCOMES = ("accepted", "not_converged", "out_of_bounds", "over_tolerance",
-             "duplicate_params", "duplicate_orbit", "not_scanned")
+_OUTCOMES = ("accepted", "not_converged", "out_of_bounds", "over_tolerance", "duplicate",
+             "not_scanned")
 # the invariant formulas of models call the algebra through the module they are
 # handed: the forward check, the solver's only algebra call, hands over this one
 _GA = sys.modules[__name__]
@@ -235,17 +234,18 @@ def _require_integer(name: str, value) -> None:
 
 @dataclass(kw_only=True)
 class SolveOptions:
-    """The knobs of a moduli solve, shared by ``SolveRequest`` and the
-    steering options.
+    """The knobs of a moduli solve; ``SteerOptions`` extends them, and
+    ``steer`` hands its options to ``solve`` as they are.
 
     Bounds confine the frequency K to (0, k_max] and the arrival time to
     (0, t_max].  ``tolerance`` bounds the algebra-evaluated residual of
-    accepted roots.  ``early_stop`` (None or at least 1) ends the screening
-    of the starts once that many distinct roots were accepted; the roots then
-    depend only on the seed.  Under it the starts go in increasing winding
-    K t, ties in their drawn order: geodesics oscillate with phase K t and
-    stop minimizing once they wind too far, and low-winding starts converge
-    soonest.  Newton runs them in blocks of ``_BLOCK`` and screens each start
+    accepted roots.  ``seed`` (at least 0) seeds the draw of the
+    ``max_starts`` starts.  ``early_stop`` (None or at least 1) ends the
+    screening of the starts once that many distinct roots were accepted; the
+    roots then depend only on the seed.  Under it the starts go in
+    increasing winding K t, ties in their drawn order: geodesics oscillate
+    with phase K t and stop minimizing once they wind too far, and
+    low-winding starts converge soonest.  Newton runs them in blocks of ``_BLOCK`` and screens each start
     as soon as it settles (converges, stalls, takes a non-finite step or
     cannot move), starts that settle in the same iteration in K t order; the
     block ends once those roots are accepted, and the work counted includes
@@ -272,24 +272,10 @@ class SolveOptions:
             raise ValueError("bounds must be finite")
         if self.max_starts < 1:
             raise ValueError("max_starts must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         if self.early_stop is not None and self.early_stop < 1:
             raise ValueError("early_stop must be None or at least 1")
-
-
-@dataclass
-class SolveRequest(SolveOptions):
-    """Inputs of a moduli solve: the solve options plus the model and
-    ``target``, the invariant tuple of the steering target."""
-
-    model: Model
-    target: tuple
-
-    def __post_init__(self):
-        self.model = _as_model(self.model)
-        want = len(_spec(self.model).invariant_names)
-        if len(self.target) != want:
-            raise ValueError(f"model {self.model.value} takes {want} invariants")
-        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -308,7 +294,8 @@ class SolveResult:
     counts every parameter row Newton evaluated the residual on,
     ``newton_iterations`` the Jacobian evaluations over all starts.
     ``start_outcomes`` counts the starts by what became of them (keys
-    ``_OUTCOMES``); they sum to ``max_starts``."""
+    ``_OUTCOMES``: accepted, the screen of ``solve`` that dropped them, or
+    not scanned before an early stop); they sum to ``max_starts``."""
 
     solutions: tuple
     starts_attempted: int
@@ -329,20 +316,20 @@ def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return draw
 
 
-def _starts(req: SolveRequest, spec) -> np.ndarray:
+def _starts(spec, opts: SolveOptions, target) -> np.ndarray:
     """Newton starts, one per row: a scrambled Latin hypercube (McKay et al.
     1979) over the search box, drawn in numpy so the package needs no scipy."""
-    raw = _latin_hypercube(req.max_starts, len(spec.param_names) - 1, req.seed)
+    raw = _latin_hypercube(opts.max_starts, len(spec.param_names) - 1, opts.seed)
     # unit-speed horizontal curves cannot beat the straight line, so the
     # arrival time is at least the horizontal displacement of the target
     try:
-        floor = spec.t_floor(req.target)
+        floor = spec.t_floor(target)
     except OverflowError:  # squaring an axis coordinate beyond 1e154
         floor = np.inf
-    t_lo = min(max(0.2, 0.999 * floor), 0.9 * req.t_max)
-    k_lo = min(0.05, 0.5 * req.k_max)
-    k0 = k_lo + raw[:, 0] * (req.k_max - k_lo)
-    t0 = t_lo + raw[:, 1] * (req.t_max - t_lo)
+    t_lo = min(max(0.2, 0.999 * floor), 0.9 * opts.t_max)
+    k_lo = min(0.05, 0.5 * opts.k_max)
+    k0 = k_lo + raw[:, 0] * (opts.k_max - k_lo)
+    t0 = t_lo + raw[:, 1] * (opts.t_max - t_lo)
     return spec.start(k0, t0, raw)
 
 
@@ -369,8 +356,9 @@ def _orbit_signature(spec, u: np.ndarray) -> np.ndarray:
     return np.concatenate([[t], spec.invariants_raw(raw).ravel()])
 
 
-def solve(req: SolveRequest) -> SolveResult:
-    """Multistart damped Newton over the bounded parameter box.
+def solve(model, target, options: SolveOptions | None = None) -> SolveResult:
+    """Multistart damped Newton over the bounded parameter box, for the
+    invariant tuple ``target`` of the model (default options if None).
 
     The starts run through one batched Newton: up to ``_BATCH`` at once, or
     in blocks of ``_BLOCK`` under ``early_stop``.  The starts are screened in
@@ -379,23 +367,29 @@ def solve(req: SolveRequest) -> SolveResult:
     that stall after the Levenberg fallback stop early, as not converged.
     Each converged start is canonicalized by the sign folds (exact
     symmetries of the residual) and screened in this order: outside the
-    bounds, within ``_DEDUP_RADIUS`` of an accepted root in every parameter,
-    the forward check, then the orbit signature of an accepted root.  The
+    bounds, a duplicate, then the forward check.  A duplicate traces the
+    curve of an accepted root: their closed-form orbit signatures agree to
+    1e-6 of the signature's scale, whatever the parameters' scale.  The
     forward check, the solve's only algebra evaluation, compares the
-    endpoint invariants and the level defect with ``tolerance``; a candidate
-    that passes it gets its closed-form orbit signature, kept with the root
-    it becomes.  The roots are sorted by arrival time.  Raises
-    InfeasibleTarget, naming the start outcomes, when no root is accepted.
+    endpoint invariants and the level defect with ``tolerance``.  The roots
+    are sorted by arrival time.  Raises ValueError for a target of the
+    wrong length, and InfeasibleTarget, naming the start outcomes, when no
+    root is accepted.
     """
-    spec = _spec(req.model)
-    target = np.asarray(req.target, float)
-    starts = _starts(req, spec)
+    model = _as_model(model)
+    spec = _spec(model)
+    want = len(spec.invariant_names)
+    if len(target) != want:
+        raise ValueError(f"model {model.value} takes {want} invariants")
+    opts = options or SolveOptions()
+    starts = _starts(spec, opts, target)
+    target = np.asarray(target, float)
     # an exhaustive scan needs every start, so they run in batches as large as
     # memory allows; under early_stop small blocks keep the work spent past the
     # last root small, and the starts go in increasing K t (``SolveOptions``
     # says why); both models put K first and t last
     block = _BATCH
-    if req.early_stop is not None:
+    if opts.early_stop is not None:
         block = _BLOCK
         starts = starts[np.argsort(starts[:, 0] * starts[:, -1], kind="stable")]
 
@@ -415,20 +409,18 @@ def solve(req: SolveRequest) -> SolveResult:
             return "not_converged"
         u = _canonicalize(spec, u)
         k, t = u[0], u[-1]
-        if not (0.0 < k <= req.k_max and 0.0 < t <= req.t_max):
+        if not (0.0 < k <= opts.k_max and 0.0 < t <= opts.t_max):
             return "out_of_bounds"
-        if any(np.abs(u - r[0]).max() <= _DEDUP_RADIUS for r in roots):
-            return "duplicate_params"
+        sig = _orbit_signature(spec, u)
+        scale = max(1.0, float(np.abs(sig).max()))
+        if any(np.abs(sig - r[2]).max() <= 1e-6 * scale for r in roots):
+            return "duplicate"
         # the forward check: the endpoint invariants through the algebra
         end = spec.ga_invariants(spec.geodesic_mv(u, t), _GA)
         res = np.append(np.subtract(end, target), spec.level(*u[:-1]) - 1.0)
         rnorm = float(np.abs(res).max())
-        if not rnorm <= req.tolerance:  # a NaN residual fails too
+        if not rnorm <= opts.tolerance:  # a NaN residual fails too
             return "over_tolerance"
-        sig = _orbit_signature(spec, u)
-        scale = max(1.0, float(np.abs(sig).max()))
-        if any(np.abs(sig - r[2]).max() <= 1e-6 * scale for r in roots):
-            return "duplicate_orbit"
         roots.append((u, rnorm, sig))
         return "accepted"
 
@@ -441,14 +433,14 @@ def solve(req: SolveRequest) -> SolveResult:
             block order; true once early_stop roots are accepted (roots grow
             one at a time; without early_stop no count equals None)."""
             for i in np.flatnonzero(~active & ~screened):
-                if len(roots) == req.early_stop:
+                if len(roots) == opts.early_stop:
                     break
                 outcomes[screen(U[i], ok[i])] += 1
                 screened[i] = True
-            return len(roots) == req.early_stop
+            return len(roots) == opts.early_stop
 
         U, _, ok, its = _newton(f, starts[lo:lo + block],
-                                scan=None if req.early_stop is None else scan)
+                                scan=None if opts.early_stop is None else scan)
         iterations += int(its.sum())
         if scan(U, ok, np.zeros(len(U), bool)):
             break

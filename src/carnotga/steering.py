@@ -20,7 +20,7 @@ compare R against.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -32,7 +32,7 @@ from .flags import align_flags, frame_flag_36, frame_flag_47  # noqa: F401
 from .ga import Multivector, Rotor, blade_index, sandwich
 from .models import Model, _as_model, _spec, invariants
 from .models import representative_geodesic_36, representative_geodesic_47
-from .solver import SolveOptions, SolveRequest, _require_integer, solve
+from .solver import SolveOptions, _require_integer, solve
 
 
 @dataclass(kw_only=True)
@@ -147,8 +147,7 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
     # could rescue
     target_frame = spec.frame(target.coeffs[spec.index])
 
-    shared = {f.name: getattr(opts, f.name) for f in fields(SolveOptions)}
-    result = solve(SolveRequest(model=model, target=inv, **shared))
+    result = solve(model, inv, opts)
     chosen = result.solutions[0]  # minimal arrival time
     params = chosen.params
 
@@ -186,7 +185,7 @@ def steer(model, target: Multivector, options: SteerOptions | None = None) -> St
             "residual_rows": result.residual_rows,
             "newton_iterations": result.newton_iterations,
             "start_outcomes": dict(result.start_outcomes),
-            "seed": opts.seed,
+            "seed": int(opts.seed),
             "tolerance": opts.tolerance,
         },
     )
@@ -202,6 +201,7 @@ def report_to_dict(report: SteerReport) -> dict:
     for name, col in zip(coordinate_columns(model), _spec(model).coordinates(report.coeffs)):
         traj[name] = col.tolist()
     return {
+        "schema_version": 2,  # moves whenever a report key is added, removed or renamed
         "model": model.value,
         "target": point_to_blade_map(model, report.target),
         "invariants": [float(v) for v in report.invariants],

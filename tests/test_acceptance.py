@@ -23,7 +23,6 @@ from carnotga import (
     Model36Point,
     Model47Point,
     Multivector,
-    SolveRequest,
     SteerOptions,
     align_bases,
     aligned_fiber_inputs,
@@ -93,7 +92,7 @@ def test_criterion_1_reference_invariants_36():
 
 def test_criterion_2_reference_solve_36():
     t0 = time.monotonic()
-    result = solve(SolveRequest(model=Model.M36, target=REF36_INVARIANTS))
+    result = solve(Model.M36, REF36_INVARIANTS)
     elapsed = time.monotonic() - t0
     c = REF36_CONSTANTS
     want = np.array([c["K"], c["D"], c["C3"], c["t"]])
@@ -124,7 +123,7 @@ def test_criterion_4_reference_invariants_47():
 
 
 def test_criterion_5_reference_solve_and_steer_47():
-    result = solve(SolveRequest(model=Model.M47, target=REF47_INVARIANTS))
+    result = solve(Model.M47, REF47_INVARIANTS)
     c = REF47_CONSTANTS
     want = np.array([c["K"], c["C1"], c["C2"], c["C"], c["t"]])
     best = np.inf

@@ -2,6 +2,7 @@
 roots, round trips, determinism, and the RK4 oracle."""
 
 import contextlib
+import itertools
 import time
 import warnings
 from dataclasses import astuple, fields, replace
@@ -15,7 +16,7 @@ from carnotga import (
     GeodesicParams47,
     InfeasibleTarget,
     Model,
-    SolveRequest,
+    SolveOptions,
     SteerOptions,
     aligned_fiber_inputs,
     compute_invariants,
@@ -170,7 +171,7 @@ def test_reference_solves_golden():
         ]),
     )
     for model, target, converged, n_roots, roots in cases:
-        result = solve(SolveRequest(model=model, target=target))
+        result = solve(model, target)
         assert (result.starts_attempted, result.converged, len(result.solutions)) == (
             64, converged, n_roots)
         for sol, want in zip(result.solutions, roots):
@@ -194,7 +195,7 @@ def test_newton_stack_equals_single_starts(monkeypatch):
     monkeypatch.setattr(solver, "_solve_rows", solve_rows)
     for model, target in ((Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)):
         spec = _spec(model)
-        U0 = _starts(SolveRequest(model=model, target=target), spec)[:12].copy()
+        U0 = _starts(spec, SolveOptions(), target)[:12].copy()
         U0[5, 1] = 1e100  # the invariants overflow: a non-finite Jacobian and step
         target = np.asarray(target, float)
         counted = [0] * (1 + len(U0))  # residual rows of the stack, then of each start
@@ -235,8 +236,7 @@ def test_solve_lets_no_warning_escape():
         for early_stop in (None, 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _outcome_or_raise(SolveRequest(model=model, target=target, early_stop=early_stop,
-                                               **knobs))
+                _outcome_or_raise(model, target, early_stop=early_stop, **knobs)
 
 
 def _creep(U):
@@ -348,15 +348,15 @@ def test_line_search_norms_equal_linalg_norm(rng):
 
 def test_start_outcomes():
     cases = (
-        (Model.M36, REF36_INVARIANTS, (1, 38, 2, 0, 23, 0, 0), 1),
-        (Model.M47, REF47_INVARIANTS, (2, 52, 2, 0, 8, 0, 0), 1),
+        (Model.M36, REF36_INVARIANTS, (1, 38, 2, 0, 23, 0), 1),
+        (Model.M47, REF47_INVARIANTS, (2, 52, 2, 0, 8, 0), 1),
     )
     for model, target, counts, scanned in cases:
-        result = solve(SolveRequest(model=model, target=target))
+        result = solve(model, target)
         assert tuple(result.start_outcomes) == _OUTCOMES
         assert tuple(result.start_outcomes.values()) == counts
         # early stop: the starts are screened as they settle, up to the first root
-        result = solve(SolveRequest(model=model, target=target, early_stop=1))
+        result = solve(model, target, SolveOptions(early_stop=1))
         assert result.starts_attempted == scanned
         out = result.start_outcomes
         assert out["accepted"] == 1 and out["not_scanned"] == 64 - scanned
@@ -381,9 +381,34 @@ def test_orbit_signature_equals_algebra_bit_for_bit(rng):
 def test_orbit_signature_merges_roots_of_one_curve():
     # a straight segment of length 1 (x.x = 1, z = 0): a root with D = 0
     # leaves K free, so starts converge to roots far apart in K that trace one
-    # curve; the parameter dedup keeps them apart, the orbit signature merges them
-    result = solve(SolveRequest(model=Model.M36, target=(1.0, 0.0, 0.0)))
-    assert tuple(result.start_outcomes.values()) == (1, 4, 50, 0, 0, 9, 0)
+    # curve; the orbit signature merges them
+    result = solve(Model.M36, (1.0, 0.0, 0.0))
+    assert tuple(result.start_outcomes.values()) == (1, 4, 50, 0, 9, 0)
+
+
+def test_orbit_signature_merges_small_k_roots(monkeypatch):
+    # at small K the constants C1, C2 = sin(a) / K reach 1e3: four starts
+    # converge to one curve at canonical parameters more than 1e-6 apart, so
+    # an absolute parameter radius would keep them apart; the signature,
+    # relative to its own scale, merges them into one root
+    p = GeodesicParams47(K=0.0006559752433199661, C1=747.2129710108619, C2=-1035.8172912390714,
+                         C=0.5459575719440838, t_final=4.942775831394661)
+    target = invariants_47(representative_geodesic_47(p, p.t_final)).as_tuple()
+    candidates = []  # the canonical parameters of every in-bounds converged start
+
+    def recording(spec, u, signature=_orbit_signature):
+        candidates.append(u)
+        return signature(spec, u)
+
+    monkeypatch.setattr(solver, "_orbit_signature", recording)
+    result = solve(Model.M47, target)
+    (root,) = result.solutions
+    assert result.converged == len(candidates) == 4
+    assert result.start_outcomes["accepted"] == 1
+    assert result.start_outcomes["duplicate"] == len(candidates) - 1
+    assert candidates[0].tolist() == list(astuple(root.params))
+    for a, b in itertools.combinations(candidates, 2):
+        assert np.abs(a - b).max() > 1e-6
 
 
 def _criterion_9_targets(count: int) -> list:
@@ -427,19 +452,19 @@ def test_early_stop_ends_the_block_at_the_scanned_root(monkeypatch):
             return done
         return newton(f, U0, scan=spy)
 
-    def oracle(req):
+    def oracle(*args):
         with monkeypatch.context() as m:
             m.setattr(solver, "_newton", settled_in_order)
-            return solve(req)
+            return solve(*args)
 
     monkeypatch.setattr(solver, "_newton", spying)
     cases = _criterion_9_targets(6) + [(Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)]
     runs = {}
     for model, target in cases:
         for early_stop in (1, 2):
-            req = SolveRequest(model=model, target=target, early_stop=early_stop)
+            args = model, target, SolveOptions(early_stop=early_stop)
             stops.clear()
-            got, want = solve(req), oracle(req)
+            got, want = solve(*args), oracle(*args)
             runs[model, target, early_stop] = got, want, list(stops)
             assert got.solutions == want.solutions
             assert got.start_outcomes == want.start_outcomes
@@ -459,24 +484,24 @@ def test_early_stop_roots_keep_their_bits():
     # float.hex, then start outcomes, Newton iterations and residual rows
     cases = (
         (("0x1.42eb9025d100fp+0", "0x1.d8520fdd71e86p-2", "-0x1.c6483eb4b79dfp-1",
-          "0x1.f3dcd5a28567dp+2"), "0x1.8000000000000p-49", (1, 0, 0, 0, 0, 0, 63), 36, 1048),
+          "0x1.f3dcd5a28567dp+2"), "0x1.8000000000000p-49", (1, 0, 0, 0, 0, 63), 36, 1048),
         (("0x1.16fe6f37cd968p+0", "0x1.2930614a40d95p-1", "-0x1.a0eba636ec4b6p-1",
-          "0x1.0794ddfd283fep+3"), "0x1.0000000000000p-50", (1, 0, 0, 0, 0, 0, 63), 40, 1164),
+          "0x1.0794ddfd283fep+3"), "0x1.0000000000000p-50", (1, 0, 0, 0, 0, 63), 40, 1164),
         (("0x1.1143cb38d79e5p+0", "0x1.c109dad2129bap-2", "-0x1.cc2596d0932a9p-1",
-          "0x1.0bf7f434dc76dp+2"), "0x1.3f30000000000p-37", (1, 0, 0, 0, 0, 0, 63), 32, 932),
+          "0x1.0bf7f434dc76dp+2"), "0x1.3f30000000000p-37", (1, 0, 0, 0, 0, 63), 32, 932),
         (("0x1.0128751f53bb7p+0", "0x1.a094b34840a1ap-3", "-0x1.e873f887ad651p-2",
           "0x1.b50c970c4b649p-1", "0x1.d29b4fba2ef8ap+2"), "0x1.aa34000000000p-34",
-         (1, 0, 0, 0, 0, 0, 63), 32, 996),
+         (1, 0, 0, 0, 0, 63), 32, 996),
         (("0x1.1cc610d7e3485p+0", "0x1.0f74f6b9f2eaep-3", "0x1.be07d63f59b15p-1",
           "0x1.954e1e21327f9p-3", "0x1.46b2ba8f528f0p+2"), "0x1.ecf0000000000p-36",
-         (1, 0, 0, 0, 0, 0, 63), 44, 1368),
+         (1, 0, 0, 0, 0, 63), 44, 1368),
         (("0x1.ec650483d5e04p-2", "-0x1.0ee00a59b2d8bp-1", "0x1.d8aae121443e5p-2",
           "0x1.e1f0140b08679p-1", "0x1.16beb7a7abdc3p+2"), "0x1.0000000000000p-51",
-         (1, 0, 0, 0, 0, 0, 63), 40, 1244),
+         (1, 0, 0, 0, 0, 63), 40, 1244),
     )
     for (model, target), (root, rnorm, outcomes, iterations, rows) in zip(
             _criterion_9_targets(3), cases):
-        result = solve(SolveRequest(model=model, target=target, early_stop=1))
+        result = solve(model, target, SolveOptions(early_stop=1))
         (sol,) = result.solutions
         assert tuple(float(v).hex() for v in astuple(sol.params)) == root
         assert float(sol.residual_norm).hex() == rnorm
@@ -497,24 +522,24 @@ def test_early_stop_scans_starts_by_winding(monkeypatch):
     monkeypatch.setattr(solver, "_newton", recording)
     cases = _criterion_9_targets(1) + [(Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)]
     for model, target in cases:
-        drawn = _starts(SolveRequest(model=model, target=target), _spec(model))
+        drawn = _starts(_spec(model), SolveOptions(), target)
         by_winding = drawn[np.argsort(drawn[:, 0] * drawn[:, -1], kind="stable")]
         for early_stop in (1, 64):  # 64 roots are never reached: every block runs
             blocks.clear()
-            solve(SolveRequest(model=model, target=target, early_stop=early_stop))
+            solve(model, target, SolveOptions(early_stop=early_stop))
             assert all(len(b) == solver._BLOCK for b in blocks)
             rows = np.concatenate(blocks)
             assert rows.tobytes() == by_winding[:len(rows)].tobytes()
             assert early_stop == 1 or len(rows) == len(drawn)
         blocks.clear()
-        solve(SolveRequest(model=model, target=target))
+        solve(model, target)
         assert len(blocks) == 1 and blocks[0].tobytes() == drawn.tobytes()
 
 
-def _outcome_or_raise(req):
+def _outcome_or_raise(model, target, **knobs):
     """The solutions and start outcomes of a solve, or the InfeasibleTarget text."""
     try:
-        result = solve(req)
+        result = solve(model, target, SolveOptions(**knobs))
     except InfeasibleTarget as exc:
         return str(exc)
     return result.solutions, result.start_outcomes
@@ -552,12 +577,11 @@ def test_early_stop_keeps_feasibility(monkeypatch):
     kinds = set()
     for model, target, knobs, cap in cases:
         iterations.clear()
-        want = _outcome_or_raise(SolveRequest(model=model, target=target, **knobs))
+        want = _outcome_or_raise(model, target, **knobs)
         exhaustive = sum(iterations)
         for early_stop in (1, 2):
             iterations.clear()
-            got = _outcome_or_raise(SolveRequest(model=model, target=target, early_stop=early_stop,
-                                                 **knobs))
+            got = _outcome_or_raise(model, target, early_stop=early_stop, **knobs)
             if cap is not None:
                 assert isinstance(want, str) and max(exhaustive, sum(iterations)) <= cap
             if isinstance(want, str):
@@ -570,15 +594,15 @@ def test_early_stop_keeps_feasibility(monkeypatch):
 
 
 def test_solve_results_do_not_depend_on_batch_size(monkeypatch):
-    want = solve(SolveRequest(model=Model.M47, target=REF47_INVARIANTS, max_starts=24))
+    want = solve(Model.M47, REF47_INVARIANTS, SolveOptions(max_starts=24))
     monkeypatch.setattr(solver, "_BATCH", 5)
-    got = solve(SolveRequest(model=Model.M47, target=REF47_INVARIANTS, max_starts=24))
+    got = solve(Model.M47, REF47_INVARIANTS, SolveOptions(max_starts=24))
     assert got == want
 
 
 def test_solve_reference_case_36():
     t0 = time.monotonic()
-    result = solve(SolveRequest(model=Model.M36, target=REF36_INVARIANTS))
+    result = solve(Model.M36, REF36_INVARIANTS)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     c = REF36_CONSTANTS
@@ -597,7 +621,7 @@ def test_solve_reference_case_36():
 
 
 def test_solve_reference_case_47():
-    result = solve(SolveRequest(model=Model.M47, target=REF47_INVARIANTS))
+    result = solve(Model.M47, REF47_INVARIANTS)
     c = REF47_CONSTANTS
     want = np.array([c["K"], c["C1"], c["C2"], c["C"], c["t"]])
     hits = []
@@ -611,7 +635,7 @@ def test_solve_reference_case_47():
 
 
 def test_solve_outputs_respect_bounds_and_level():
-    result = solve(SolveRequest(model=Model.M36, target=REF36_INVARIANTS, t_max=20.0))
+    result = solve(Model.M36, REF36_INVARIANTS, SolveOptions(t_max=20.0))
     for s in result.solutions:
         p = s.params
         assert 0.0 < p.K <= 10.0
@@ -625,7 +649,7 @@ def test_solve_forward_check(rng):
     forward, independently of the Newton residual."""
     p = random_params36(rng)
     target = invariants_36(representative_geodesic_36(p, p.t_final)).as_tuple()
-    result = solve(SolveRequest(model=Model.M36, target=target, max_starts=32))
+    result = solve(Model.M36, target, SolveOptions(max_starts=32))
     assert result.solutions
     for s in result.solutions:
         got = invariants_36(representative_geodesic_36(s.params, s.params.t_final)).as_tuple()
@@ -645,13 +669,13 @@ def test_solve_forward_check_can_fail(monkeypatch):
 
         monkeypatch.setitem(_SPECS, model, replace(spec, invariant_cols=biased))
         with pytest.raises(InfeasibleTarget, match=r"accepted 0, .* over_tolerance [1-9]"):
-            solve(SolveRequest(model=model, target=target))
+            solve(model, target)
 
 
 def test_solve_roundtrip_47(rng):
     p = random_params47(rng)
     target = invariants_47(representative_geodesic_47(p, p.t_final)).as_tuple()
-    result = solve(SolveRequest(model=Model.M47, target=target, max_starts=32, early_stop=1))
+    result = solve(Model.M47, target, SolveOptions(max_starts=32, early_stop=1))
     assert result.solutions
     s = result.solutions[0]
     got = invariants_47(representative_geodesic_47(s.params, s.params.t_final)).as_tuple()
@@ -659,8 +683,8 @@ def test_solve_roundtrip_47(rng):
 
 
 def test_solve_determinism():
-    a = solve(SolveRequest(model=Model.M36, target=REF36_INVARIANTS, max_starts=16, seed=7))
-    b = solve(SolveRequest(model=Model.M36, target=REF36_INVARIANTS, max_starts=16, seed=7))
+    a = solve(Model.M36, REF36_INVARIANTS, SolveOptions(max_starts=16, seed=7))
+    b = solve(Model.M36, REF36_INVARIANTS, SolveOptions(max_starts=16, seed=7))
     assert len(a.solutions) == len(b.solutions)
     for sa, sb in zip(a.solutions, b.solutions):
         assert sa.params == sb.params
@@ -670,31 +694,27 @@ def test_solve_determinism():
 
 def test_solve_infeasible_target_raises():
     with pytest.raises(InfeasibleTarget, match="start outcomes: accepted 0, not_converged 8,"):
-        solve(
-            SolveRequest(
-                model=Model.M36,
-                target=(1e8, -1e8, 1e8),
-                max_starts=8,
-                t_max=5.0,
-            )
-        )
+        solve(Model.M36, (1e8, -1e8, 1e8), SolveOptions(max_starts=8, t_max=5.0))
 
 
 def test_solve_request_validation():
-    with pytest.raises(ValueError):
-        SolveRequest(model=Model.M36, target=(1.0, 2.0))
+    with pytest.raises(ValueError, match="^model 36 takes 3 invariants$"):
+        solve(Model.M36, (1.0, 2.0))
     # the steering options reject every bad solver knob at construction, with
-    # the text the solve request gives
+    # the text the solve options give
     for bad in ({"k_max": -1.0}, {"k_max": np.nan}, {"t_max": np.nan}, {"tolerance": np.nan},
                 {"k_max": np.inf}, {"t_max": np.inf},
-                {"early_stop": 0}, {"early_stop": -1}, {"max_starts": 0}):
+                {"early_stop": 0}, {"early_stop": -1}, {"max_starts": 0}, {"seed": -1}):
         with pytest.raises(ValueError) as want:
-            SolveRequest(model=Model.M36, target=(1.0, 2.0, 3.0), **bad)
+            SolveOptions(**bad)
         with pytest.raises(ValueError) as got:
             SteerOptions(**bad)
         assert str(got.value) == str(want.value)
+    # a negative seed is named before numpy's generator rejects it in the solve
+    with pytest.raises(ValueError, match="^seed must be at least 0$"):
+        SolveOptions(seed=-1)
     assert SteerOptions(early_stop=1).early_stop == 1
-    knobs = [f for f in fields(SolveRequest) if f.name not in ("model", "target")]
+    knobs = fields(SolveOptions)
     assert len(knobs) == 6
     assert all(getattr(SteerOptions(), f.name) == f.default for f in knobs)
 
@@ -710,7 +730,7 @@ def test_options_reject_counts_that_are_not_integers(name, value):
         SteerOptions(**{name: value})
     if name != "samples":
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
-            SolveRequest(model=Model.M36, target=(1.0, 2.0, 3.0), **{name: value})
+            SolveOptions(**{name: value})
     assert getattr(SteerOptions(**{name: np.int64(3)}), name) == 3
 
 
@@ -721,7 +741,7 @@ def test_k_starts_lie_in_the_search_box():
         spec = _spec(model)
         raw = _latin_hypercube(64, len(spec.param_names) - 1, 0)[:, 0]
         for k_max in (1e-3, 0.01, 0.04, 0.05, 0.1, 10.0):
-            k0 = _starts(SolveRequest(model=model, target=target, k_max=k_max), spec)[:, 0]
+            k0 = _starts(spec, SolveOptions(k_max=k_max), target)[:, 0]
             assert np.all((k0 > 0.0) & (k0 <= k_max))
             assert len(np.unique(k0)) == 64
             if k_max >= 0.1:

@@ -224,6 +224,9 @@ def test_report_roundtrip_and_verify(ref36_target, ref47_target):
         assert diag["residual_rows"] > diag["newton_iterations"] > 0
         assert sum(diag["start_outcomes"].values()) == 64
         assert diag["start_outcomes"]["accepted"] == diag["roots"]
+        assert data["schema_version"] == 2
+        del data["schema_version"]  # a report written before the key still verifies
+        assert verify_report(data) == (ok, lines)
 
 
 def test_verify_catches_corrupted_rotor(ref36_target):
@@ -247,6 +250,13 @@ def test_verify_catches_perturbed_endpoint(ref36_target):
 def test_steer_deterministic(ref36_target):
     a = report_to_dict(steer(Model.M36, ref36_target, SteerOptions(samples=20, seed=3)))
     b = report_to_dict(steer(Model.M36, ref36_target, SteerOptions(samples=20, seed=3)))
+    assert a == b
+
+
+def test_numpy_integer_seed_gives_the_report_of_its_int(ref36_target):
+    # the options accept numpy integers; the report stores the seed as an int
+    a, b = (json.dumps(report_to_dict(steer("36", ref36_target, SteerOptions(seed=seed, early_stop=1))))
+            for seed in (np.int64(3), 3))
     assert a == b
 
 
@@ -464,7 +474,7 @@ def test_cli_maps_every_package_error(tmp_path, monkeypatch, capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_cli_exit_io_on_bad_input(tmp_path):
+def test_cli_exit_io_on_bad_input(tmp_path, capsys):
     assert main(["invariants", "--target", str(tmp_path / "missing.json")]) == EXIT_IO
     assert main(["invariants", "--target", "{not json"]) == EXIT_IO
     assert main(["invariants", "--target", '{"point": {"e1": 1}}']) == EXIT_IO  # no model
@@ -483,6 +493,9 @@ def test_cli_exit_io_on_bad_input(tmp_path):
     assert main(["invariants", "--target", target]) == EXIT_IO
     for bound in ("nan", "-1"):
         assert main(["steer", "--target", target.replace(huge, "2"), "--bound", bound]) == EXIT_IO
+    capsys.readouterr()
+    assert main(["steer", "--target", target.replace(huge, "2"), "--seed", "-1"]) == EXIT_IO
+    assert capsys.readouterr().err == "error: seed must be at least 0\n"
     data = report_to_dict(steer(Model.M36, point_from_blade_map(Model.M36, REF36_TARGET), FAST))
     data["acceptance_bound"] = int(huge)
     report = tmp_path / "huge_bound.json"

@@ -17,7 +17,12 @@ as they are.  The groups:
 - ``random``: 10 invariant tuples drawn uniformly from [-10, 10] (generator
   seed 91, models alternating), most of them unreachable;
 - ``straight``: straight segments of length 1, 5 and 9 per model, where a
-  root leaves K free and the orbit-signature dedup merges roots.
+  root leaves K free and the orbit-signature dedup merges roots;
+- ``small-k``: 24 forward-generated targets, 12 per model, drawn as
+  ``forward`` draws them but with K log-uniform in [10^-3.5, 10^-1]
+  (generator seed 2026): the (4,7) constants C1, C2 = sin(a) / K reach
+  1e3 there, and starts that converge to one curve lie far apart in the
+  parameters, so a change to the duplicate rule shows here.
 
 Two lines hash ``report_to_dict`` JSON of steer reports: they move
 whenever a report's bytes do, the rotor and trajectory included, while the
@@ -51,7 +56,7 @@ from carnotga import (
     Model,
     Multivector,
     Rotor,
-    SolveRequest,
+    SolveOptions,
     SteerOptions,
     blade_index,
     compute_invariants,
@@ -77,14 +82,14 @@ DOCUMENTED_POINTS = (
 DOCUMENTED = tuple((model, compute_invariants(model, point)) for model, point in DOCUMENTED_POINTS)
 
 
-def forward_points() -> list:
-    """24 forward-generated endpoints per model."""
-    rng = np.random.default_rng(0)
+def forward_points(count: int = 24, seed: int = 0, k_draw=lambda rng: rng.uniform(0.3, 3.0)) -> list:
+    """``count`` forward-generated endpoints per model, K drawn by ``k_draw``."""
+    rng = np.random.default_rng(seed)
     points = []
-    for _ in range(24):
+    for _ in range(count):
         for model in Model:
             while True:
-                k, angle, t = rng.uniform(0.3, 3.0), rng.uniform(0.15, np.pi - 0.15), rng.uniform(1.0, 9.0)
+                k, angle, t = k_draw(rng), rng.uniform(0.15, np.pi - 0.15), rng.uniform(1.0, 9.0)
                 if model is Model.M36:
                     params = GeodesicParams36(k, np.sin(angle), np.cos(angle), t)
                     point = representative_geodesic_36(params, t)
@@ -128,7 +133,7 @@ def solve_line(model: Model, target: tuple, early_stop) -> str:
     """Every bit of one solve, as one line of text."""
     head = f"{model.value} {' '.join(float(v).hex() for v in target)} {early_stop}"
     try:
-        result = solve(SolveRequest(model=model, target=target, early_stop=early_stop))
+        result = solve(model, target, SolveOptions(early_stop=early_stop))
     except InfeasibleTarget as exc:
         return f"{head} infeasible {exc}"
     roots = ";".join(" ".join(float(v).hex() for v in (*astuple(s.params), s.residual_norm))
@@ -148,9 +153,11 @@ def steer_line(model: Model, point, options: SteerOptions) -> str:
 
 def main() -> None:
     forward = forward_points()
+    small_k = forward_points(12, 2026, lambda rng: 10.0 ** rng.uniform(-3.5, -1.0))
     groups = (("documented", DOCUMENTED),
               ("forward", [(model, invariants(model, point).as_tuple()) for model, point in forward]),
-              ("random", random_targets()), ("straight", straight_targets()))
+              ("random", random_targets()), ("straight", straight_targets()),
+              ("small-k", [(model, invariants(model, point).as_tuple()) for model, point in small_k]))
     for name, targets in groups:
         for path, early_stops in (("exhaustive", (None,)), ("early_stop", (1, 2))):
             h = hashlib.sha256()
