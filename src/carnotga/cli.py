@@ -4,7 +4,7 @@ Points travel as JSON objects {"model": "36"|"47", "point": {"e1": 2.0,
 "e12": 1.0, ...}} with blade-keyed coefficient maps.  Exit codes are a
 stable contract for scripting: 0 success, 1 verification failure, 2
 infeasible target, 3 degenerate configuration (and every other package
-error), 4 I/O or parse error.
+error), 4 I/O or parse error, command line usage errors included.
 """
 
 from __future__ import annotations
@@ -143,8 +143,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting EXIT_IO: its own code, 2, is the
+    code of an infeasible target."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="carnotga",
         description="Steer two step-2 Carnot group models by geometric algebra.",
     )
@@ -196,9 +205,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built on the first call of main; parsing leaves no state in it
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleTarget as exc:

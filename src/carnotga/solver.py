@@ -42,12 +42,15 @@ _BLOCK = 4
 # a start that has taken the Levenberg fallback stops, not converged, once its
 # largest residual entry fell by less than _STALL_DROP over its last
 # _STALL_WINDOW iterations.  Without it 21 of the 64 M36 and 52 of the 64 M47
-# reference starts ran to the 50-iteration cap (2 and 6 with it), and the
-# exhaustive reference solves took 1864 and 2791 iterations (1306 and 1681).
+# reference starts ran to the 50-iteration cap (2 and 3 with it), and the
+# exhaustive reference solves took 1864 and 2791 iterations (1116 and 1424;
+# 1306 and 1681 with a window of 15, which found the same roots to the bit).
+# A window of 6 loses a reachable small-K (4,7) target, and 2 or 3 lose
+# roots of forward-generated targets.
 # Without the fallback condition the rule also stops starts that creep along
 # a valley and then converge: on one round-trip target it lost the
 # minimal-time root (t 7.7436 -> 7.7586)
-_STALL_WINDOW = 15
+_STALL_WINDOW = 8
 _STALL_DROP = 0.01
 # starts per Newton batch without early_stop; a batch holds about 5 KB per
 # start, so this bounds the memory of a solve with many starts

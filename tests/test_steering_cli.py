@@ -39,6 +39,7 @@ from carnotga import (
     steer,
     verify_report,
 )
+from carnotga import cli
 from carnotga.cli import EXIT_DEGENERATE, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, main
 from conftest import (
     REF36_QO,
@@ -508,6 +509,49 @@ def test_cli_exit_io_on_bad_input(tmp_path, capsys):
     report.write_text(deep)
     assert main(["verify", str(report)]) == EXIT_IO
     assert main(["invariants", "--target", '{"model": "36", "point": %s}' % deep]) == EXIT_IO
+
+
+def test_cli_usage_errors_exit_io(capsys):
+    # argparse's own code for a usage error, 2, is the code of an infeasible target
+    target = json.dumps({"model": "36", "point": {"e1": 1}})
+    for argv, message in (
+            (["steer", "--target", target, "--samples", "abc"],
+             "carnotga steer: error: argument --samples: invalid int value: 'abc'"),
+            (["bogus"], "carnotga: error: argument command: invalid choice: 'bogus'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("usage: carnotga") and message in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: carnotga")
+
+
+def test_cli_builds_one_parser_that_keeps_no_state(tmp_path, monkeypatch, capsys):
+    builds = []
+
+    def counting(build=cli._build_parser):
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    target = _target_file(tmp_path, REF36_TARGET, "36")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["steer", "--target", target, "--samples", "5", "--out", str(a)]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["steer", "--target", target, "--samples", "abc"])
+    assert exc.value.code == EXIT_IO
+    assert main(["steer", "--target", target, "--out", str(b)]) == EXIT_OK
+    assert len(builds) == 1
+    samples = [len(json.loads(p.read_text())["trajectory"]["t"]) for p in (a, b)]
+    assert samples == [5, SteerOptions().samples] == [5, 200]
+    # importing the module builds none
+    code = "import carnotga.cli\nassert carnotga.cli._parser is None\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_inline_json_and_module_entry(tmp_path):
