@@ -26,7 +26,6 @@ from .errors import InfeasibleTarget
 from .ga import geometric_product, grade_project, inner_product, outer_product
 from .models import _as_model, _spec
 
-_BIG = 1e12
 _HALVINGS = 0.5 ** np.arange(21)  # line-search step sizes 1 down to 2^-20
 _ARMIJO = 1.0 - 1e-4 * _HALVINGS  # the norm fraction each step size must beat
 # starts per Newton batch under early_stop; a block screens each start as it
@@ -67,23 +66,22 @@ _GA = sys.modules[__name__]
 def _residual_rows(spec, U: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Invariant mismatch plus level-set defect, one row per raw parameter row,
     from the closed-form invariants (``spec.ga_invariants`` is their reference).
-    Rows with |K| < 1e-10 or a non-finite curve point get the value _BIG.  The
-    caller sets the numpy error context: overflows are expected here."""
+    A row the closed forms cannot evaluate (K = 0, an overflow, a NaN or
+    infinite parameter) holds NaN or inf, which ``_newton``'s tests reject.
+    The caller sets the numpy error context: overflows are expected here."""
     cols = U.T
     out = np.empty((len(U), len(target) + 1))
-    vals = spec.geodesic_cols(*cols)
-    spec.invariant_cols(vals, out)
+    spec.invariant_cols(spec.geodesic_cols(*cols), out)
     out[:, :-1] -= target
     out[:, -1] = spec.level(*cols[:-1]) - 1.0
-    bad = (np.abs(cols[0]) < 1e-10) | ~np.isfinite(vals).all(axis=0)
-    if bad.any():
-        out[bad] = _BIG
     return out
 
 
 def residual(model, params, t: float, target) -> np.ndarray:
     """Public residual: invariant mismatch of the representative geodesic at
-    time t against the target, with the level-set defect appended."""
+    time t against the target, with the level-set defect appended.  It runs
+    through the raw curve, so K = 0 gives the straight line's residual;
+    otherwise it has the bits of ``_residual_rows``."""
     spec = _spec(model)
     spec.check_params(params)
     target = np.asarray(target, float)
@@ -92,7 +90,8 @@ def residual(model, params, t: float, target) -> np.ndarray:
     if target.shape != (n,):
         raise ValueError(f"target for this model has {n} invariants")
     with np.errstate(all="ignore"):
-        return _residual_rows(spec, u[None], target)[0]
+        inv = spec.invariants_raw(spec.geodesic_raw(*u)[None])[0]
+        return np.append(inv - target, spec.level(*u[:-1]) - 1.0)
 
 
 def _norms(F: np.ndarray) -> np.ndarray:
@@ -321,14 +320,14 @@ def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
 
 def _starts(spec, opts: SolveOptions, target) -> np.ndarray:
     """Newton starts, one per row: a scrambled Latin hypercube (McKay et al.
-    1979) over the search box, drawn in numpy so the package needs no scipy."""
+    1979) over the search box, drawn in numpy so the package needs no scipy.
+    ``target`` is a float array: a floor that overflows is inf, and the
+    clamp below maps it to 0.9 t_max."""
     raw = _latin_hypercube(opts.max_starts, len(spec.param_names) - 1, opts.seed)
     # unit-speed horizontal curves cannot beat the straight line, so the
     # arrival time is at least the horizontal displacement of the target
-    try:
+    with np.errstate(over="ignore"):  # squaring an axis coordinate beyond 1e154
         floor = spec.t_floor(target)
-    except OverflowError:  # squaring an axis coordinate beyond 1e154
-        floor = np.inf
     t_lo = min(max(0.2, 0.999 * floor), 0.9 * opts.t_max)
     k_lo = min(0.05, 0.5 * opts.k_max)
     k0 = k_lo + raw[:, 0] * (opts.k_max - k_lo)
@@ -376,8 +375,8 @@ def solve(model, target, options: SolveOptions | None = None) -> SolveResult:
     forward check, the solve's only algebra evaluation, compares the
     endpoint invariants and the level defect with ``tolerance``.  The roots
     are sorted by arrival time.  Raises ValueError for a target of the
-    wrong length, and InfeasibleTarget, naming the start outcomes, when no
-    root is accepted.
+    wrong length or one numpy cannot read as floats, and InfeasibleTarget,
+    naming the start outcomes, when no root is accepted.
     """
     model = _as_model(model)
     spec = _spec(model)
@@ -385,8 +384,8 @@ def solve(model, target, options: SolveOptions | None = None) -> SolveResult:
     if len(target) != want:
         raise ValueError(f"model {model.value} takes {want} invariants")
     opts = options or SolveOptions()
-    starts = _starts(spec, opts, target)
     target = np.asarray(target, float)
+    starts = _starts(spec, opts, target)
     # an exhaustive scan needs every start, so they run in batches as large as
     # memory allows; under early_stop small blocks keep the work spent past the
     # last root small, and the starts go in increasing K t (``SolveOptions``

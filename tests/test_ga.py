@@ -16,6 +16,7 @@ from carnotga import (
     geometric_product,
     grade_project,
     inner_product,
+    norm,
     normalize,
     outer_product,
     pseudoscalar,
@@ -169,6 +170,25 @@ def test_reverse_cases():
     assert reverse(mv(3, e12=1.0)).isclose(mv(3, e12=-1.0))
     a = mv(3, e1=2.0) + 3.0
     assert reverse(a).isclose(a)
+
+
+@pytest.mark.parametrize("sugar, plain", [
+    (lambda a, b: a ^ b, outer_product),
+    (lambda a, b: a | b, inner_product),
+    (lambda a, b: ~a, lambda a, b: reverse(a)),
+    (lambda a, b: a * b, geometric_product),
+    (lambda a, b: a - 2.0,
+     lambda a, b: Multivector(a.dim, np.append(a.coeffs[0] - 2.0, a.coeffs[1:]))),
+    (lambda a, b: norm(a), lambda a, b: a.norm()),
+], ids=["outer", "inner", "reverse", "geometric", "scalar_sub", "norm"])
+def test_operator_sugar_gives_the_bits_of_the_named_operation(sugar, plain):
+    rng = np.random.default_rng(17)
+    for dim in (3, 4):
+        a, b = (Multivector(dim, rng.uniform(-1.0, 1.0, size=1 << dim)) for _ in range(2))
+        got, want = sugar(a, b), plain(a, b)
+        if isinstance(want, Multivector):
+            got, want = got.coeffs, want.coeffs
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_norm_cases():

@@ -35,7 +35,7 @@ from carnotga import (
 from carnotga.models import _SPECS, _spec, invariants
 from carnotga import solver
 from carnotga.solver import (
-    _BIG, _OUTCOMES, _canonicalize, _latin_hypercube, _newton, _norms, _orbit_signature,
+    _OUTCOMES, _canonicalize, _latin_hypercube, _newton, _norms, _orbit_signature,
     _residual_rows, _starts)
 from conftest import REF36_CONSTANTS, REF36_INVARIANTS, REF47_CONSTANTS, REF47_INVARIANTS
 from test_models import params36, params47, random_params36, random_params47
@@ -80,9 +80,9 @@ def test_residual_rows_stack_equals_single_rows(rng):
     for model in Model:
         spec = _spec(model)
         U = rng.uniform(-3.0, 3.0, size=(64, len(spec.param_names)))
-        U[::7, 0] = 0.0  # |K| below the guard
+        U[::7, 0] = 0.0  # K = 0: the closed forms divide by K
         U[3, 0], U[3, -1] = 2.0, 1e308  # K t overflows: non-finite curve point
-        U[8, 0] = 1e-300  # D / K overflows, below the guard anyway
+        U[8, 0] = 1e-300  # D / K overflows for (3,6); (4,7) evaluates the row
         U[9, 2] = np.nan  # a NaN parameter
         U[10, -1] = np.inf  # t = inf
         U[11, -2] = 1e160  # a huge C: invariants and level overflow, the curve does not
@@ -92,31 +92,47 @@ def test_residual_rows_stack_equals_single_rows(rng):
             singles = np.array([_residual_rows(spec, u[None], target)[0] for u in U])
             mirrored = _residual_rows(spec, np.abs(U), target)
         assert rows.tobytes() == singles.tobytes()
+        # a row the closed forms cannot evaluate holds NaN or inf
+        line = U[:, 0] == 0.0
+        failed = line.copy()
+        failed[[3, 9, 10, 11]] = True
+        failed[8] = model is Model.M36
+        assert (~np.isfinite(rows).all(axis=1)).tolist() == failed.tolist()
         # the public residual sets its own context: the same rows, in the
-        # params' domain, raise no warnings there
+        # params' domain, raise no warnings there; on the K = 0 rows it
+        # evaluates the straight line, which the algebra checks
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             public = np.array([residual(model, spec.params_cls(*u), u[-1], target)
                                for u in np.abs(U)])
-        assert public.tobytes() == mirrored.tobytes()
-        guarded = np.zeros(len(U), bool)
-        guarded[::7] = guarded[3] = guarded[8:11] = True
-        assert np.all(rows[guarded] == _BIG)
-        assert not np.isfinite(rows[11]).all()
-        # the composed route through the raw curve rows gives the same bits
-        kept = U[~guarded]
-        with np.errstate(over="ignore"):
-            composed = np.column_stack([
-                spec.invariants_raw(spec.geodesic_raw(*kept.T)) - target,
-                spec.level(*kept[:, :-1].T) - 1.0])
-        assert rows[~guarded].tobytes() == composed.tobytes()
-        # the algebra evaluation stays the reference of the closed forms; its
-        # multivectors hold finite coefficients only
-        finite = np.isfinite(rows).all(axis=1)
-        for u, row in zip(U[finite & ~guarded], rows[finite & ~guarded]):
+        assert public[~line].tobytes() == mirrored[~line].tobytes()
+        for u, row in zip(np.abs(U[line]), public[line]):
             inv = invariants(model, spec.geodesic_mv(u, u[-1])).as_tuple()
             assert np.all(row[:-1] == np.array(inv) - target)
             assert row[-1] == spec.level(*u[:-1]) - 1.0
+        # the composed route through the raw curve rows gives the same bits
+        with np.errstate(all="ignore"):
+            composed = np.column_stack([
+                spec.invariants_raw(spec.geodesic_raw(*U.T)) - target,
+                spec.level(*U[:, :-1].T) - 1.0])
+        assert rows.tobytes() == composed.tobytes()
+        # the algebra evaluation stays the reference of the closed forms; its
+        # multivectors hold finite coefficients only
+        finite = np.isfinite(rows).all(axis=1)
+        for u, row in zip(U[finite], rows[finite]):
+            inv = invariants(model, spec.geodesic_mv(u, u[-1])).as_tuple()
+            assert np.all(row[:-1] == np.array(inv) - target)
+            assert row[-1] == spec.level(*u[:-1]) - 1.0
+
+
+def test_residual_vanishes_at_a_straight_line_endpoint():
+    # K = 0 parameters are a straight horizontal segment, a geodesic like any
+    # other: the residual against its own endpoint invariants is zero
+    for model, params in ((Model.M36, GeodesicParams36(K=0.0, D=0.6, C3=0.8, t_final=2.0)),
+                          (Model.M47, GeodesicParams47(K=0.0, C1=0.3, C2=-0.2, C=1.0,
+                                                       t_final=2.0))):
+        end = invariants(model, _spec(model).geodesic(params, params.t_final)).as_tuple()
+        assert np.all(residual(model, params, params.t_final, end) == 0.0)
 
 
 def test_sign_folds_are_exact_symmetries_of_the_residual(rng):
@@ -222,8 +238,9 @@ def test_newton_stack_equals_single_starts(monkeypatch):
 
 def test_solve_lets_no_warning_escape():
     # overflowed residuals, Jacobians and steps stop their starts silently:
-    # a target point with coordinates near 1e150 (invariants near 1e300) and
-    # a K bound of 1e300, under both scans
+    # a target point with coordinates near 1e150 (invariants near 1e300), a
+    # K bound of 1e300 and a target whose arrival-time floor overflows,
+    # under both scans
     points = ((Model.M36, {"e1": 1e150, "e2": -2e150, "e3": 3e150, "e12": 1e150, "e13": -2e150,
                            "e23": 2e150}),
               (Model.M47, {"e1": 1e150, "e2": 2e150, "e3": 1e150, "e4": 3e150, "e12": -1e150,
@@ -231,7 +248,9 @@ def test_solve_lets_no_warning_escape():
     cases = [(model, compute_invariants(model, point_from_blade_map(model, point)), {})
              for model, point in points]
     cases += [(Model.M36, REF36_INVARIANTS, {"k_max": 1e300}),
-              (Model.M47, REF47_INVARIANTS, {"k_max": 1e300})]
+              (Model.M47, REF47_INVARIANTS, {"k_max": 1e300}),
+              # an array target whose arrival-time floor overflows in numpy
+              (Model.M47, np.array([1e160, 1.0, 0.0, 0.0]), {})]
     for model, target, knobs in cases:
         for early_stop in (None, 1):
             with warnings.catch_warnings():
@@ -700,6 +719,8 @@ def test_solve_infeasible_target_raises():
 def test_solve_request_validation():
     with pytest.raises(ValueError, match="^model 36 takes 3 invariants$"):
         solve(Model.M36, (1.0, 2.0))
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        solve(Model.M36, ("a", "b", "c"))
     # the steering options reject every bad solver knob at construction, with
     # the text the solve options give
     for bad in ({"k_max": -1.0}, {"k_max": np.nan}, {"t_max": np.nan}, {"tolerance": np.nan},
@@ -783,12 +804,15 @@ def _rk4_batch_against_closed_form(model, params, closed_form):
 
 
 def test_rk4_agrees_with_closed_form_36(rng):
+    # a K = 0 line joins the draws, here and for 47: its aligned momenta vanish
     params = [random_params36(rng) for _ in range(5)]
+    params.append(GeodesicParams36(0.0, 0.6, 0.8, 2.5))
     _rk4_batch_against_closed_form(Model.M36, params, representative_geodesic_36)
 
 
 def test_rk4_agrees_with_closed_form_47(rng):
     params = [random_params47(rng) for _ in range(5)]
+    params.append(GeodesicParams47(0.0, 0.3, -0.2, 1.0, 2.5))
     _rk4_batch_against_closed_form(Model.M47, params, representative_geodesic_47)
 
 

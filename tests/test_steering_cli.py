@@ -421,6 +421,18 @@ def test_cli_infeasible_names_start_outcomes(tmp_path, capsys):
     assert "start outcomes: accepted 0, not_converged 5, out_of_bounds 11," in err
 
 
+def test_steer_beyond_the_acceptance_bound_is_infeasible(tmp_path, capsys, ref36_target,
+                                                         ref47_target):
+    # the solve accepts a root, but the steered endpoint misses a bound that
+    # no rounding meets: steer raises, and the CLI exits as for no root
+    for model, target in ((Model.M36, ref36_target), (Model.M47, ref47_target)):
+        with pytest.raises(InfeasibleTarget, match="steered endpoint misses the target by"):
+            steer(model, target, SteerOptions(acceptance_bound=1e-300))
+    target = _target_file(tmp_path, REF36_TARGET, "36")
+    assert main(["steer", "--target", target, "--bound", "1e-300"]) == EXIT_INFEASIBLE
+    assert "beyond the acceptance bound 1.000e-300" in capsys.readouterr().err
+
+
 def test_cli_huge_bounds_exit_infeasible_without_warning(tmp_path):
     # huge bounds make residuals overflow: no start converges, and no numpy
     # warning or least-squares failure escapes the solver
