@@ -51,6 +51,8 @@ _BLOCK = 4
 # minimal-time root (t 7.7436 -> 7.7586)
 _STALL_WINDOW = 8
 _STALL_DROP = 0.01
+_MAX_ITER = 50  # Newton iterations per start at most
+_TOL = 1e-10  # a start converges once its largest residual entry is below this
 # starts per Newton batch without early_stop; a batch holds about 5 KB per
 # start, so this bounds the memory of a solve with many starts
 _BATCH = 1024
@@ -118,13 +120,13 @@ def _line_search(f, U, FU, steps):
     return U, FU, moved
 
 
-def _solve_rows(A: np.ndarray, b: np.ndarray, lstsq: bool) -> np.ndarray:
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A[i] x = b[i] for every row in one batched call.  A batched solve
     fails as a whole if one matrix is exactly singular; then the singular rows
     are found by a zero ``slogdet`` sign, from the LU factorization the solve
     runs, and the others are solved in one batch.  A singular row gets its
-    least-squares solution if ``lstsq``, else NaN; so does a singular row with
-    a non-finite entry, on which least squares fails."""
+    least-squares solution, or NaN if it holds a non-finite entry, on which
+    least squares fails."""
     try:
         return np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -134,15 +136,14 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, lstsq: bool) -> np.ndarray:
         singular = np.linalg.slogdet(A)[0] == 0.0
         regular = ~singular
         out[regular] = np.linalg.solve(A[regular], b[regular, :, None])[..., 0]
-    if lstsq:
-        for i in np.flatnonzero(singular & np.isfinite(A).all(axis=(1, 2))):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
+    for i in np.flatnonzero(singular & np.isfinite(A).all(axis=(1, 2))):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            out[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
     return out
 
 
 @np.errstate(all="ignore")  # one error context for the run: overflowed rows stop on NaN steps
-def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None):
+def _newton(f, U0: np.ndarray, scan=None):
     """Damped Newton with central-difference Jacobian and halving line search,
     run on a stack of starts ``(S, d)`` at once with per-start active masks.
 
@@ -150,11 +151,11 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
     it the 2d-point stencils of all active starts in one call and their line
     searches in one more.  Near folds of the invariant map the Jacobian turns
     singular and the pure Newton direction stalls; a Levenberg-style
-    regularized step is tried before a start gives up.  A start also stops
-    on a non-finite Newton step, and, as not converged, once it has taken
-    the Levenberg fallback and its largest residual entry fell by less than
-    ``_STALL_DROP`` over its last ``_STALL_WINDOW`` iterations; a start that
-    creeps without the fallback runs on, since such starts may converge.
+    regularized step is tried before a start gives up.  A non-finite step
+    fails every Armijo test and stops its start.  A start also stops, as not
+    converged, once it has taken the Levenberg fallback and its largest entry
+    fell by less than ``_STALL_DROP`` over its last ``_STALL_WINDOW``
+    iterations; one that creeps without the fallback runs on (it may converge).
     Starts never mix, so a stack returns the bits its rows return one at a
     time.  Returns (U, f(U), converged, Jacobian evaluations), one entry per
     start.
@@ -170,11 +171,11 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
     pm_rows, pm_cols = np.arange(2 * d), np.tile(diag_idx, 2)  # the +h, then the -h entries
     its = np.zeros(S, int)
     active = np.ones(S, bool)
-    peak = np.empty((max_iter, S))  # largest residual entry per iteration and start
+    peak = np.empty((_MAX_ITER, S))  # largest residual entry per iteration and start
     levenberg = np.zeros(S, bool)  # starts that have taken the fallback
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         peak[it] = np.abs(FU).max(axis=1)
-        ok = peak[it] < tol
+        ok = peak[it] < _TOL
         active &= ~ok
         if it >= _STALL_WINDOW and levenberg.any():
             active &= ~(levenberg & (peak[it] > (1.0 - _STALL_DROP) * peak[it - _STALL_WINDOW]))
@@ -191,14 +192,10 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
         fs = f(stencil.reshape(-1, d)).reshape(len(rows), 2 * d, fu.shape[1])
         # row j of the difference is column j of the Jacobian; copied C-contiguous
         # because a transposed view sends jac.T @ jac down another BLAS path; an
-        # overflowed residual gives inf - inf, and its start stops on the NaN step
+        # overflowed residual gives inf - inf, and its NaN steps fail every Armijo test
         jac = np.ascontiguousarray(
             ((fs[:, :d] - fs[:, d:]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1))
-        step = _solve_rows(jac, -fu, lstsq=True)
-        finite = np.isfinite(step).all(axis=1)
-        if not finite.all():
-            active[rows[~finite]] = False
-            rows, u, fu, jac, step = rows[finite], u[finite], fu[finite], jac[finite], step[finite]
+        step = _solve_rows(jac, -fu)
         u, fu, moved = _line_search(f, u, fu, step)
         stuck = np.flatnonzero(~moved)
         levenberg[rows[stuck]] = True
@@ -211,11 +208,7 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
             left = np.ones(len(stuck), bool)
             for mu in (1e-8, 1e-4, 1e-2, 1.0, 1e2):
                 cand = np.flatnonzero(left)
-                step = _solve_rows(jtj[cand] + mu * diag[cand], -jtf[cand], lstsq=False)
-                usable = np.isfinite(step).all(axis=1)
-                cand, step = cand[usable], step[usable]
-                if not len(cand):
-                    continue
+                step = _solve_rows(jtj[cand] + mu * diag[cand], -jtf[cand])
                 at = stuck[cand]
                 u[at], fu[at], hit = _line_search(f, u[at], fu[at], step)
                 left[cand[hit]] = False
@@ -224,7 +217,7 @@ def _newton(f, U0: np.ndarray, max_iter: int = 50, tol: float = 1e-10, scan=None
             moved[stuck[~left]] = True
         U[rows], FU[rows] = u, fu
         active[rows[~moved]] = False
-    return U, FU, np.abs(FU).max(axis=1) < tol, its
+    return U, FU, np.abs(FU).max(axis=1) < _TOL, its
 
 
 def _require_integer(name: str, value) -> None:
@@ -248,8 +241,8 @@ class SolveOptions:
     increasing winding K t, ties in their drawn order: geodesics oscillate
     with phase K t and stop minimizing once they wind too far, and
     low-winding starts converge soonest.  Newton runs them in blocks of ``_BLOCK`` and screens each start
-    as soon as it settles (converges, stalls, takes a non-finite step or
-    cannot move), starts that settle in the same iteration in K t order; the
+    as soon as it settles (converges, stalls or cannot move, as after a
+    non-finite step), starts that settle in the same iteration in K t order; the
     block ends once those roots are accepted, and the work counted includes
     the iterations its unscreened starts ran until then.  Without it the
     starts keep their drawn order, up to ``_BATCH`` run as one batch, and

@@ -198,42 +198,61 @@ def test_reference_solves_golden():
         assert result.residual_rows >= 64 + result.newton_iterations * 2 * d
 
 
+def _count_line_searches(monkeypatch) -> list:
+    """Count the calls of ``solver._line_search`` in the returned list's one
+    entry.  ``_newton`` runs one Newton line search per iteration and one per
+    Levenberg rung, so a count above the iterations shows the fallback ran."""
+    searches = [0]
+
+    def line_search(*args, line_search=solver._line_search):
+        searches[0] += 1
+        return line_search(*args)
+
+    monkeypatch.setattr(solver, "_line_search", line_search)
+    return searches
+
+
 def test_newton_stack_equals_single_starts(monkeypatch):
     # the batched Newton gives each start the bits it gets alone, including
     # starts that need the Levenberg fallback and one whose step is not finite
-    calls = []
+    finite = []  # per solve, which rows got a finite step
 
-    def solve_rows(A, b, lstsq, solve_rows=solver._solve_rows):
-        x = solve_rows(A, b, lstsq)
-        calls.append((lstsq, np.all(np.isfinite(x), axis=1)))
+    def solve_rows(A, b, solve_rows=solver._solve_rows):
+        x = solve_rows(A, b)
+        finite.append(np.all(np.isfinite(x), axis=1))
         return x
 
     monkeypatch.setattr(solver, "_solve_rows", solve_rows)
+    searches = _count_line_searches(monkeypatch)
     for model, target in ((Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)):
         spec = _spec(model)
         U0 = _starts(spec, SolveOptions(), target)[:12].copy()
         U0[5, 1] = 1e100  # the invariants overflow: a non-finite Jacobian and step
         target = np.asarray(target, float)
+        d = U0.shape[1]
         counted = [0] * (1 + len(U0))  # residual rows of the stack, then of each start
 
         def f(U, k):
             counted[k] += len(U)
             return _residual_rows(spec, U, target)
 
-        calls.clear()
+        finite.clear()
+        searches[0] = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the overflowed start warns nothing
             U, FU, ok, its = _newton(lambda U: f(U, 0), U0)
+            assert searches[0] > its.max()  # Levenberg steps taken
+            assert not all(fin.all() for fin in finite)
             singles = [_newton(lambda U, k=k: f(U, k), u0[None]) for k, u0 in enumerate(U0, 1)]
-        assert any(not newton for newton, _ in calls)  # Levenberg steps taken
-        assert any(newton and not fin.all() for newton, fin in calls)
         assert U.tobytes() == np.concatenate([r[0] for r in singles]).tobytes()
         assert FU.tobytes() == np.concatenate([r[1] for r in singles]).tobytes()
         assert ok.tolist() == [bool(r[2][0]) for r in singles]
         assert its.tolist() == [int(r[3][0]) for r in singles]
         assert counted[0] == sum(counted[1:])
-        # the start with the non-finite step stops before any line search
-        assert ok.any() and not ok[5] and its[5] == 1 and counted[6] == 1 + 2 * len(U0[5])
+        # the start with the non-finite step stops after one iteration: its
+        # Newton line search and all five Levenberg rungs fail every step size
+        assert ok.any() and not ok[5] and its[5] == 1
+        assert counted[6] == 1 + 2 * d + 6 * len(solver._HALVINGS)
 
 
 def test_solve_lets_no_warning_escape():
@@ -273,34 +292,30 @@ def _creep(U):
 
 
 def test_newton_stops_stalled_starts_after_the_fallback(monkeypatch):
-    levenberg = []
-
-    def solve_rows(A, b, lstsq, solve_rows=solver._solve_rows):
-        levenberg.append(not lstsq)
-        return solve_rows(A, b, lstsq)
-
-    monkeypatch.setattr(solver, "_solve_rows", solve_rows)
+    searches = _count_line_searches(monkeypatch)
     edge = 0.1 + 3e-7  # just outside the flat stretch in y
     starts = np.array([
         [100.0, edge],  # the fallback, then 0.6% per window: stops at the window
         [100.0, 0.0],  # the same plateau without the fallback: runs on (a valley)
         [0.5, edge],  # the fallback, then 1.5% per window: runs on
-        [np.nan, 0.0],  # a non-finite residual stops on its non-finite step
-        [np.inf, 0.0],
+        [np.nan, 0.0],  # a non-finite residual: its steps fail every step size,
+        [np.inf, 0.0],  # the fallback's too, and it stops
     ])
     singles = []
     for u0 in starts:
-        levenberg.clear()
+        searches[0] = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the non-finite starts warn nothing
             singles.append(_newton(_creep, u0[None]))
-        singles[-1] += (any(levenberg),)
+        singles[-1] += (searches[0] > singles[-1][3][0],)  # the fallback ran
     U, FU, ok, its = (np.concatenate([r[k] for r in singles]) for k in range(4))
-    assert [r[4] for r in singles] == [True, False, True, False, False]
+    assert [r[4] for r in singles] == [True, False, True, True, True]
     assert not ok.any()
     assert its.tolist() == [solver._STALL_WINDOW, 50, 50, 1, 1]
     # the largest entry's drop over the first window: under 1% on the first two
-    window = _newton(_creep, starts[:3], max_iter=solver._STALL_WINDOW)[1]
+    calls = itertools.count()
+    window = _newton(_creep, starts[:3],
+                     scan=lambda U, ok, active: next(calls) == solver._STALL_WINDOW)[1]
     drop = 1.0 - np.abs(window[:, 0] / _creep(starts[:3])[:, 0])
     assert drop[0] < solver._STALL_DROP and drop[1] < solver._STALL_DROP <= drop[2]
     assert np.isnan(FU[3]).any() and np.isinf(FU[4]).any()
@@ -312,14 +327,14 @@ def test_newton_stops_stalled_starts_after_the_fallback(monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
-def _solve_one(a, v, lstsq):
+def _solve_one(a, v):
     """The per-row reference of ``_solve_rows``: one solve, least squares on a
-    singular matrix if asked, NaN where that fails too.  On a matrix holding
-    inf or NaN least squares raises or, for some with inf, never returns."""
+    singular matrix, NaN where that fails too.  On a matrix holding inf or NaN
+    least squares raises or, for some with inf, never returns."""
     try:
         return np.linalg.solve(a, v)
     except np.linalg.LinAlgError:
-        if lstsq and np.isfinite(a).all():
+        if np.isfinite(a).all():
             with contextlib.suppress(np.linalg.LinAlgError):
                 return np.linalg.lstsq(a, v, rcond=None)[0]
         return np.full_like(v, np.nan)
@@ -340,20 +355,44 @@ def test_solve_rows_equal_single_solves(rng, capfd):
         b[7, 2] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(A, b[..., None])  # the whole batch falls back
-        got = {}
-        for lstsq in (True, False):
-            with np.errstate(all="ignore"):
-                want = np.array([_solve_one(a, v, lstsq) for a, v in zip(A, b)])
-            capfd.readouterr()
+        with np.errstate(all="ignore"):
+            want = np.array([_solve_one(a, v) for a, v in zip(A, b)])
+        capfd.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solver._solve_rows(A, b)
+        assert got.tobytes() == want.tobytes()
+        # least squares never sees a non-finite matrix, so LAPACK prints nothing
+        assert capfd.readouterr() == ("", "")
+        # singular rows get least squares, or NaN on a non-finite matrix
+        assert np.isfinite(got[[0, 1, 2, 8]]).all() and np.isnan(got[[5, 6]]).all()
+
+
+def test_levenberg_systems_are_never_singular(rng):
+    # the systems of _newton's Levenberg ladder, J^T J + mu diag(max(diag(J^T J),
+    # 1e-12)) for mu >= 1e-8, are positive definite for every finite J: the
+    # batched solve never falls back, so no rung needs least squares
+    ladder = (1e-8, 1e-4, 1e-2, 1.0, 1e2)  # the rungs of _newton
+    for d in (4, 5):
+        J = rng.standard_normal((60, d, d))
+        J[10:20, :, 1] = 0.0  # rank-deficient: a zero column
+        J[20:30, :, 3] = J[20:30, :, 0]  # or a repeated one
+        J[30:45] *= 1e150  # finite draws at the edges of the range
+        J[45:60] *= 1e-150
+        J[[35, 50], :, 2] = 0.0
+        F = rng.standard_normal((60, d))
+        jtj = np.swapaxes(J, 1, 2) @ J
+        jtf = (np.swapaxes(J, 1, 2) @ F[:, :, None])[..., 0]
+        diag = np.zeros_like(jtj)
+        diag[:, np.arange(d), np.arange(d)] = np.maximum(
+            np.diagonal(jtj, axis1=1, axis2=2), 1e-12)
+        for mu in ladder:
+            A = jtj + mu * diag
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got[lstsq] = solver._solve_rows(A, b, lstsq)
-            assert got[lstsq].tobytes() == want.tobytes()
-            # least squares never sees a non-finite matrix, so LAPACK prints nothing
-            assert capfd.readouterr() == ("", "")
-        # singular rows get least squares, or NaN without it or on a non-finite matrix
-        assert np.isfinite(got[True][[0, 1, 2, 8]]).all() and np.isnan(got[False][[1, 2]]).all()
-        assert np.isnan(got[True][[5, 6]]).all()
+                want = np.linalg.solve(A, -jtf[..., None])[..., 0]  # raises if one is singular
+                got = solver._solve_rows(A, -jtf)
+            assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
 
 
 def test_line_search_norms_equal_linalg_norm(rng):
@@ -610,6 +649,23 @@ def test_early_stop_keeps_feasibility(monkeypatch):
                 assert not isinstance(got, str) and len(got[0]) == min(early_stop, len(want[0]))
                 kinds.add("solved")
     assert kinds == {"infeasible", "solved"}
+
+
+def test_early_stop_first_roots_stay_near_minimal():
+    """The first root under early_stop=1 against the exhaustive solve's
+    minimal-time root, on 24 criterion-9 targets per model: 37 of the 48 are
+    minimal, with mean t/t_min 1.0212 and max 1.4768.  This pins today's
+    quality for the next change of the start order; it does not close the
+    gap: on the benchmark's round-trip pool (24 per model) the first roots
+    are minimal on 38 of 48, and one reaches 2.054 t_min."""
+    ratios = []
+    for model, target in _criterion_9_targets(24):
+        first = solve(model, target, SolveOptions(early_stop=1)).solutions[0]
+        minimal = solve(model, target).solutions[0]
+        ratios.append(first.t_final / minimal.t_final)
+    ratios = np.array(ratios)
+    assert np.sum(np.abs(ratios - 1.0) <= 1e-9) >= 37
+    assert ratios.mean() <= 1.022 and ratios.max() <= 1.477
 
 
 def test_solve_results_do_not_depend_on_batch_size(monkeypatch):
