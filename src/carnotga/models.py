@@ -27,7 +27,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -570,6 +570,60 @@ def _starts_47(k0, t0, raw):
     return np.column_stack([k0, r * np.cos(psi), r * np.sin(psi), np.cos(alpha), t0])
 
 
+# A Carnot dilation K -> K/l, t -> l t scales the (3,6) invariants by
+# (l^2, l^4, l^3): a root is fixed by its winding w = K t and its angle theta
+# (D = sin theta, C3 = cos theta), and its arrival time is sqrt(a) / sqrt(I0)
+# of its unit-time curve.  Below w = 0.05 the z-columns cancel digits that
+# the forward check, evaluating the same closed forms, cannot see
+_W_MIN = 0.05
+
+
+def _unit_invariants_36(w, theta) -> np.ndarray:
+    """(I0, I1, I2) of the unit-time curves on the grid w x theta."""
+    W, T = (a.ravel() for a in np.meshgrid(w, theta, indexing="ij"))
+    out = np.empty((len(W), 3))
+    _invariant_cols_36(_geodesic_cols_36(W, np.sin(T), np.cos(T), 1.0), out)
+    return out.reshape(len(w), len(theta), 3)
+
+
+@cache
+def _seed_table_36() -> tuple:
+    """Read-only (g, w_c, theta_c, H_c), built on the first (3,6) solve: the
+    scale-free invariants g = (I1 / I0^2, I2 / I0^1.5) on 128 windings in
+    [_W_MIN, 4 pi] (a quarter geometric below 0.5) times 64 angles in
+    [0, pi], and the cell centres with their H_c = sqrt(I0)."""
+    w = np.concatenate([np.geomspace(_W_MIN, 0.5, 32, endpoint=False),
+                        np.linspace(0.5, 4.0 * np.pi, 96)])
+    theta = np.linspace(0.0, np.pi, 64)
+    w_c, theta_c = 0.5 * (w[1:] + w[:-1]), 0.5 * (theta[1:] + theta[:-1])
+    with np.errstate(all="ignore"):
+        inv = _unit_invariants_36(w, theta)
+        g = np.stack([inv[..., 1] / inv[..., 0] ** 2, inv[..., 2] / inv[..., 0] ** 1.5], axis=-1)
+        h_c = np.sqrt(_unit_invariants_36(w_c, theta_c)[..., 0])
+    for a in (g, w_c, theta_c, h_c):
+        a.flags.writeable = False
+    return g, w_c, theta_c, h_c
+
+
+def _seeds_36(target, max_starts: int) -> np.ndarray:
+    """Newton starts (K, D, C3, t) for the invariants (a, b, c): at the
+    centre of each table cell over whose corners both components of
+    g - (b / a^2, c / a^1.5) change sign, in increasing winding, with
+    t = sqrt(a) / H_c and K = w_c / t; the first ``max_starts`` finite
+    rows.  A straight target (b = c = 0) or one with a <= 0 gets none."""
+    a, b, c = target
+    if not a > 0.0 or b == c == 0.0:
+        return np.empty((0, 4))
+    g, w_c, theta_c, h_c = _seed_table_36()
+    with np.errstate(all="ignore"):
+        above = g > np.array([b / a**2, c / a**1.5])
+        corners = np.stack([above[:-1, :-1], above[1:, :-1], above[:-1, 1:], above[1:, 1:]])
+        i, j = np.nonzero((corners.any(axis=0) & ~corners.all(axis=0)).all(axis=-1))
+        t = np.sqrt(a) / h_c[i, j]
+        seeds = np.column_stack([w_c[i] / t, np.sin(theta_c[j]), np.cos(theta_c[j]), t])
+    return seeds[np.isfinite(seeds).all(axis=1)][:max_starts]
+
+
 def _rk4_rhs_36(k, s):
     """Derivatives of the state components (x in e1..e3, z in e12, e13, e23,
     momentum h): dx = h, dz = x ^ h / 2 and dh = -Omega h written out from
@@ -641,6 +695,9 @@ class _ModelSpec:
     aligned_fiber: Callable  # params -> (kvec, fiber constants)
     collinear: str  # why the flag degenerates where its two vectors are collinear
     fixed_axes: tuple = ()  # basis vectors every symmetry rotor must fix
+    # (invariants, max_starts) -> (S, d) starts run before the drawn ones,
+    # which run only if these give no root
+    seeds: Callable | None = None
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -788,6 +845,7 @@ _SPECS = {
         rk4_rhs=_rk4_rhs_36,
         aligned_fiber=_aligned_fiber_36,
         collinear="vector part is parallel to the bivector normal",
+        seeds=_seeds_36,
     ),
     Model.M47: _ModelSpec(
         blades=("e1", "e2", "e3", "e4", "e12", "e13", "e14"),

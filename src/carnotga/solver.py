@@ -5,7 +5,8 @@ constants and an arrival time whose endpoint invariants match the target
 and whose constants sit on the arc-length level set.  The nonlinear system
 is square (4 equations for the 6-dimensional model, 5 for the other) and
 smooth, so a damped Newton iteration from quasi-random multistart points
-over a bounded box is enough; no global solver is used.
+over a bounded box, or for (3,6) from the cells of a cached scale-free grid,
+is enough; no global solver is used.
 
 The RK4 integrator at the bottom solves the coupled base and momentum
 systems directly from the structure constants.  It never enters the solve
@@ -235,7 +236,10 @@ class SolveOptions:
     Bounds confine the frequency K to (0, k_max] and the arrival time to
     (0, t_max].  ``tolerance`` bounds the algebra-evaluated residual of
     accepted roots.  ``seed`` (at least 0) seeds the draw of the
-    ``max_starts`` starts.  ``early_stop`` (None or at least 1) ends the
+    ``max_starts`` starts.  (3,6) first runs at most ``max_starts`` seeds
+    read off its grid of windings up to 4 pi, which do not depend on
+    ``seed``; the drawn starts run only if no seed gives a root, and the
+    bounds screen the roots of both.  ``early_stop`` (None or at least 1) ends the
     screening of the starts once that many distinct roots were accepted; the
     roots then depend only on the seed.  Under it the starts go in
     increasing winding K t, ties in their drawn order: geodesics oscillate
@@ -290,7 +294,9 @@ class SolveResult:
     ``newton_iterations`` the Jacobian evaluations over all starts.
     ``start_outcomes`` counts the starts by what became of them (keys
     ``_OUTCOMES``: accepted, the screen of ``solve`` that dropped them, or
-    not scanned before an early stop); they sum to ``max_starts``."""
+    not scanned before an early stop); they sum to the starts run: the
+    drawn ``max_starts``, or for (3,6) its grid seeds, plus the drawn ones
+    if the seeds gave no root.  The counters add up over both."""
 
     solutions: tuple
     starts_attempted: int
@@ -355,7 +361,10 @@ def solve(model, target, options: SolveOptions | None = None) -> SolveResult:
     """Multistart damped Newton over the bounded parameter box, for the
     invariant tuple ``target`` of the model (default options if None).
 
-    The starts run through one batched Newton: up to ``_BATCH`` at once, or
+    The starts are the model's seeds (``spec.seeds``: for (3,6) the cells of
+    its scale-free grid where the target's invariants lie, so only roots of
+    winding K t up to 4 pi), then the drawn starts if the seeds gave no
+    root.  Each pass runs through one batched Newton: up to ``_BATCH`` at once, or
     in blocks of ``_BLOCK`` under ``early_stop``.  The starts are screened in
     their drawn order after the batch, or under ``early_stop`` while their
     block runs, each as soon as it settles, ties in increasing K t.  Starts
@@ -378,15 +387,10 @@ def solve(model, target, options: SolveOptions | None = None) -> SolveResult:
         raise ValueError(f"model {model.value} takes {want} invariants")
     opts = options or SolveOptions()
     target = np.asarray(target, float)
-    starts = _starts(spec, opts, target)
     # an exhaustive scan needs every start, so they run in batches as large as
     # memory allows; under early_stop small blocks keep the work spent past the
-    # last root small, and the starts go in increasing K t (``SolveOptions``
-    # says why); both models put K first and t last
-    block = _BATCH
-    if opts.early_stop is not None:
-        block = _BLOCK
-        starts = starts[np.argsort(starts[:, 0] * starts[:, -1], kind="stable")]
+    # last root small
+    block = _BATCH if opts.early_stop is None else _BLOCK
 
     rows = 0  # residual rows evaluated, over all starts
     iterations = 0
@@ -419,28 +423,40 @@ def solve(model, target, options: SolveOptions | None = None) -> SolveResult:
         roots.append((u, rnorm, sig))
         return "accepted"
 
+    def passes():
+        """The model's seeds, then the drawn starts if the seeds gave no root."""
+        if spec.seeds is not None:
+            yield spec.seeds(target, opts.max_starts)
+        if not roots:
+            yield _starts(spec, opts, target)
+
     outcomes = dict.fromkeys(_OUTCOMES, 0)
-    for lo in range(0, len(starts), block):
-        screened = np.zeros(min(block, len(starts) - lo), bool)  # per start of the block
+    n_starts = 0
+    for starts in passes():
+        n_starts += len(starts)
+        if opts.early_stop is not None:  # increasing K t (``SolveOptions`` says why)
+            starts = starts[np.argsort(starts[:, 0] * starts[:, -1], kind="stable")]
+        for lo in range(0, len(starts), block):
+            screened = np.zeros(min(block, len(starts) - lo), bool)  # per start of the block
 
-        def scan(U, ok, active) -> bool:
-            """Screen the block's starts that settled since the last call, in
-            block order; true once early_stop roots are accepted (roots grow
-            one at a time; without early_stop no count equals None)."""
-            for i in np.flatnonzero(~active & ~screened):
-                if len(roots) == opts.early_stop:
-                    break
-                outcomes[screen(U[i], ok[i])] += 1
-                screened[i] = True
-            return len(roots) == opts.early_stop
+            def scan(U, ok, active) -> bool:
+                """Screen the block's starts that settled since the last call, in
+                block order; true once early_stop roots are accepted (roots grow
+                one at a time; without early_stop no count equals None)."""
+                for i in np.flatnonzero(~active & ~screened):
+                    if len(roots) == opts.early_stop:
+                        break
+                    outcomes[screen(U[i], ok[i])] += 1
+                    screened[i] = True
+                return len(roots) == opts.early_stop
 
-        U, _, ok, its = _newton(f, starts[lo:lo + block],
-                                scan=None if opts.early_stop is None else scan)
-        iterations += int(its.sum())
-        if scan(U, ok, np.zeros(len(U), bool)):
-            break
+            U, _, ok, its = _newton(f, starts[lo:lo + block],
+                                    scan=None if opts.early_stop is None else scan)
+            iterations += int(its.sum())
+            if scan(U, ok, np.zeros(len(U), bool)):
+                break
     attempted = sum(outcomes.values())
-    outcomes["not_scanned"] = len(starts) - attempted
+    outcomes["not_scanned"] = n_starts - attempted
     converged = attempted - outcomes["not_converged"]
 
     if not roots:

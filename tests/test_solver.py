@@ -3,6 +3,9 @@ roots, round trips, determinism, and the RK4 oracle."""
 
 import contextlib
 import itertools
+import json
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import astuple, fields, replace
@@ -32,12 +35,13 @@ from carnotga import (
     rk4_endpoints,
     solve,
 )
-from carnotga.models import _SPECS, _spec, invariants
+from carnotga.models import _SPECS, _seed_table_36, _spec, invariants
 from carnotga import solver
 from carnotga.solver import (
     _OUTCOMES, _canonicalize, _latin_hypercube, _newton, _norms, _orbit_signature,
     _residual_rows, _starts)
-from conftest import REF36_CONSTANTS, REF36_INVARIANTS, REF47_CONSTANTS, REF47_INVARIANTS
+from conftest import (
+    REF36_CONSTANTS, REF36_INVARIANTS, REF36_TARGET, REF47_CONSTANTS, REF47_INVARIANTS)
 from test_models import params36, params47, random_params36, random_params47
 
 
@@ -159,16 +163,17 @@ def test_reference_solves_golden():
     # roots of the reference solves at the default seed, as the first solver
     # (one start at a time, scalar residuals) found them; bits beyond 1e-12
     # follow the platform's libm and LAPACK; a start the stall stop ended
-    # counts as not converged.  The third target, one of the benchmark's
-    # round-trip targets, pins its two first roots of 17: the start that
-    # finds the minimal-time one creeps along a valley without the Levenberg
-    # fallback, and a stall rule that ignored the fallback lost that root
+    # counts as not converged.  The (3,6) target runs the five seeds of the
+    # grid, which all converge, to the same root.  The third target, one of
+    # the benchmark's round-trip targets, pins its two first roots of 17: the
+    # start that finds the minimal-time one creeps along a valley without the
+    # Levenberg fallback, and a stall rule that ignored the fallback lost that root
     cases = (
-        (Model.M36, REF36_INVARIANTS, 26, 1, [
+        (Model.M36, REF36_INVARIANTS, 5, 5, 1, [
             GeodesicParams36(K=0.9885730720302317, D=0.6885102270518171,
                              C3=0.725226631643554, t_final=5.023644821636999),
         ]),
-        (Model.M47, REF47_INVARIANTS, 11, 2, [
+        (Model.M47, REF47_INVARIANTS, 64, 11, 2, [
             GeodesicParams47(K=0.8357905887916619, C1=-0.7815971269293542,
                              C2=-0.5323519008614755, C=0.6126137060458265,
                              t_final=6.074809369775649),
@@ -177,7 +182,7 @@ def test_reference_solves_golden():
                              t_final=8.215794421068876),
         ]),
         (Model.M47, (-0.02608362500630859, 54.46226541733543, 7.103938046056359,
-                     -1.1263999112522631), 30, 17, [
+                     -1.1263999112522631), 64, 30, 17, [
             GeodesicParams47(K=0.8019127374867009, C1=0.14187657305153187,
                              C2=0.35005587672818694, C=0.9530242856662937,
                              t_final=7.743610957162047),
@@ -186,16 +191,16 @@ def test_reference_solves_golden():
                              t_final=7.758573360564061),
         ]),
     )
-    for model, target, converged, n_roots, roots in cases:
+    for model, target, starts, converged, n_roots, roots in cases:
         result = solve(model, target)
         assert (result.starts_attempted, result.converged, len(result.solutions)) == (
-            64, converged, n_roots)
+            starts, converged, n_roots)
         for sol, want in zip(result.solutions, roots):
             np.testing.assert_allclose(astuple(sol.params), astuple(want), rtol=1e-12, atol=0)
         # one row per start, then a 2d-row stencil per Newton iteration
         d = len(astuple(roots[0]))
         assert result.newton_iterations >= converged
-        assert result.residual_rows >= 64 + result.newton_iterations * 2 * d
+        assert result.residual_rows >= starts + result.newton_iterations * 2 * d
 
 
 def _count_line_searches(monkeypatch) -> list:
@@ -266,7 +271,8 @@ def test_solve_lets_no_warning_escape():
                            "e13": 2e150, "e14": 2e150}))
     cases = [(model, compute_invariants(model, point_from_blade_map(model, point)), {})
              for model, point in points]
-    cases += [(Model.M36, REF36_INVARIANTS, {"k_max": 1e300}),
+    # (3,6): a t bound puts the grid's root (t 5.02) out, so the drawn starts run
+    cases += [(Model.M36, REF36_INVARIANTS, {"k_max": 1e300, "t_max": 5.0}),
               (Model.M47, REF47_INVARIANTS, {"k_max": 1e300}),
               # an array target whose arrival-time floor overflows in numpy
               (Model.M47, np.array([1e160, 1.0, 0.0, 0.0]), {})]
@@ -405,20 +411,22 @@ def test_line_search_norms_equal_linalg_norm(rng):
 
 
 def test_start_outcomes():
+    # (3,6) runs the five seeds of its grid, (4,7) its 64 drawn starts
     cases = (
-        (Model.M36, REF36_INVARIANTS, (1, 38, 2, 0, 23, 0), 1),
+        (Model.M36, REF36_INVARIANTS, (1, 0, 0, 0, 4, 0), 1),
         (Model.M47, REF47_INVARIANTS, (2, 53, 2, 0, 7, 0), 1),
     )
     for model, target, counts, scanned in cases:
         result = solve(model, target)
         assert tuple(result.start_outcomes) == _OUTCOMES
         assert tuple(result.start_outcomes.values()) == counts
+        starts = sum(counts)
         # early stop: the starts are screened as they settle, up to the first root
         result = solve(model, target, SolveOptions(early_stop=1))
         assert result.starts_attempted == scanned
         out = result.start_outcomes
-        assert out["accepted"] == 1 and out["not_scanned"] == 64 - scanned
-        assert sum(out.values()) == 64
+        assert out["accepted"] == 1 and out["not_scanned"] == starts - scanned
+        assert sum(out.values()) == starts
 
 
 def test_orbit_signature_equals_algebra_bit_for_bit(rng):
@@ -529,24 +537,25 @@ def test_early_stop_ends_the_block_at_the_scanned_root(monkeypatch):
             assert (got.starts_attempted, got.converged) == (want.starts_attempted, want.converged)
             assert got.residual_rows <= want.residual_rows
             assert got.newton_iterations <= want.newton_iterations
-    # the documented 6-dim target accepts the third start of its first block
-    # while the first two are still iterating
+    # the documented 6-dim target accepts the third grid seed of its first
+    # block while the first two are still iterating
     got, want, stops = runs[Model.M36, REF36_INVARIANTS, 1]
-    assert got.starts_attempted == 1 and [s.tolist() for s in stops] == [[True, True, False, True]]
+    assert got.starts_attempted == 1 and [s.tolist() for s in stops] == [[True, True, False, False]]
     assert got.residual_rows < want.residual_rows
     assert got.newton_iterations < want.newton_iterations
 
 
 def test_early_stop_roots_keep_their_bits():
     # the early-stop path end to end, bit for bit: root and residual norm by
-    # float.hex, then start outcomes, Newton iterations and residual rows
+    # float.hex, then start outcomes, Newton iterations and residual rows.
+    # The (3,6) starts are the grid seeds, 7, 8 and 5 of them here
     cases = (
-        (("0x1.42eb9025d100fp+0", "0x1.d8520fdd71e86p-2", "-0x1.c6483eb4b79dfp-1",
-          "0x1.f3dcd5a28567dp+2"), "0x1.8000000000000p-49", (1, 0, 0, 0, 0, 63), 36, 1048),
-        (("0x1.16fe6f37cd968p+0", "0x1.2930614a40d95p-1", "-0x1.a0eba636ec4b6p-1",
-          "0x1.0794ddfd283fep+3"), "0x1.0000000000000p-50", (1, 0, 0, 0, 0, 63), 40, 1164),
-        (("0x1.1143cb38d79e5p+0", "0x1.c109dad2129bap-2", "-0x1.cc2596d0932a9p-1",
-          "0x1.0bf7f434dc76dp+2"), "0x1.3f30000000000p-37", (1, 0, 0, 0, 0, 63), 32, 932),
+        (("0x1.10778dee958a2p+0", "0x1.9380ec956dc03p-2", "-0x1.d69307ed2ff50p-1",
+          "0x1.e37d3eba35ebfp+2"), "0x1.1d00000000000p-38", (1, 0, 0, 0, 0, 6), 12, 352),
+        (("0x1.12fbd5b9139f8p+0", "0x1.24d922fbbf4c3p-1", "-0x1.a3fb1acc02cd7p-1",
+          "0x1.05d270976b2a7p+3"), "0x1.7800000000000p-46", (1, 0, 0, 0, 0, 7), 20, 584),
+        (("0x1.1143cb38ef1cbp+0", "0x1.c109dad213786p-2", "-0x1.cc2596d09716bp-1",
+          "0x1.0bf7f434db5f0p+2"), "0x1.97ad800000000p-36", (1, 0, 0, 0, 0, 4), 12, 352),
         (("0x1.0128751f53bb7p+0", "0x1.a094b34840a1ap-3", "-0x1.e873f887ad651p-2",
           "0x1.b50c970c4b649p-1", "0x1.d29b4fba2ef8ap+2"), "0x1.aa34000000000p-34",
          (1, 0, 0, 0, 0, 63), 32, 996),
@@ -569,7 +578,9 @@ def test_early_stop_roots_keep_their_bits():
 
 def test_early_stop_scans_starts_by_winding(monkeypatch):
     # under early_stop the Newton blocks take the starts in increasing K t,
-    # ties in drawn order; the exhaustive solve takes them as drawn, in one batch
+    # ties in drawn order; the exhaustive solve takes them as drawn, in one
+    # batch.  The starts are the grid seeds for (3,6), which give these
+    # targets a root, so the drawn starts never run; for (4,7) the drawn ones
     newton = solver._newton
     blocks = []
 
@@ -580,12 +591,15 @@ def test_early_stop_scans_starts_by_winding(monkeypatch):
     monkeypatch.setattr(solver, "_newton", recording)
     cases = _criterion_9_targets(1) + [(Model.M36, REF36_INVARIANTS), (Model.M47, REF47_INVARIANTS)]
     for model, target in cases:
-        drawn = _starts(_spec(model), SolveOptions(), target)
+        spec = _spec(model)
+        drawn = (_starts(spec, SolveOptions(), target) if spec.seeds is None
+                 else spec.seeds(np.asarray(target), 64))
         by_winding = drawn[np.argsort(drawn[:, 0] * drawn[:, -1], kind="stable")]
         for early_stop in (1, 64):  # 64 roots are never reached: every block runs
             blocks.clear()
             solve(model, target, SolveOptions(early_stop=early_stop))
-            assert all(len(b) == solver._BLOCK for b in blocks)
+            assert all(len(b) == solver._BLOCK for b in blocks[:-1])
+            assert 0 < len(blocks[-1]) <= solver._BLOCK
             rows = np.concatenate(blocks)
             assert rows.tobytes() == by_winding[:len(rows)].tobytes()
             assert early_stop == 1 or len(rows) == len(drawn)
@@ -653,11 +667,11 @@ def test_early_stop_keeps_feasibility(monkeypatch):
 
 def test_early_stop_first_roots_stay_near_minimal():
     """The first root under early_stop=1 against the exhaustive solve's
-    minimal-time root, on 24 criterion-9 targets per model: 37 of the 48 are
-    minimal, with mean t/t_min 1.0212 and max 1.4768.  This pins today's
-    quality for the next change of the start order; it does not close the
-    gap: on the benchmark's round-trip pool (24 per model) the first roots
-    are minimal on 38 of 48, and one reaches 2.054 t_min."""
+    minimal-time root, on 24 criterion-9 targets per model: 43 of the 48 are
+    minimal (24 of 24 for (3,6), whose starts are the grid seeds), with mean
+    t/t_min 1.0015 and max 1.0427; the bounds below were measured with drawn
+    starts for both models (37 of 48, mean 1.0212, max 1.4768).
+    ``test_grid_seeds_find_no_longer_roots`` holds the (3,6) count."""
     ratios = []
     for model, target in _criterion_9_targets(24):
         first = solve(model, target, SolveOptions(early_stop=1)).solutions[0]
@@ -666,6 +680,69 @@ def test_early_stop_first_roots_stay_near_minimal():
     ratios = np.array(ratios)
     assert np.sum(np.abs(ratios - 1.0) <= 1e-9) >= 37
     assert ratios.mean() <= 1.022 and ratios.max() <= 1.477
+
+
+def _drawn_starts_only(monkeypatch, model):
+    """Solve ``model`` from the drawn starts alone, as without grid seeds."""
+    monkeypatch.setitem(_SPECS, model, replace(_spec(model), seeds=None))
+
+
+def _solve_bits(model, target, **knobs) -> str:
+    """Every bit of a solve as text, or the InfeasibleTarget message."""
+    try:
+        r = solve(model, target, SolveOptions(**knobs))
+    except InfeasibleTarget as exc:
+        return str(exc)
+    roots = [[float(v).hex() for v in (*astuple(s.params), s.residual_norm)] for s in r.solutions]
+    return repr((roots, r.start_outcomes, r.starts_attempted, r.converged, r.residual_rows,
+                 r.newton_iterations))
+
+
+def test_grid_seeds_find_no_longer_roots(monkeypatch):
+    """On the (3,6) criterion-9 targets of ``_criterion_9_targets(24)``: the
+    exhaustive first root from the grid seeds is never longer than the one
+    from the drawn starts alone (here one is shorter, and 23 agree to 1e-11),
+    and under early_stop=1 all 24 first roots are minimal (17 with the drawn
+    starts alone, max t/t_min 1.4768)."""
+    targets = [target for model, target in _criterion_9_targets(24) if model is Model.M36]
+    seeded = [solve(Model.M36, target).solutions[0].t_final for target in targets]
+    first = [solve(Model.M36, target, SolveOptions(early_stop=1)).solutions[0].t_final
+             for target in targets]
+    with monkeypatch.context() as m:
+        _drawn_starts_only(m, Model.M36)
+        drawn = [solve(Model.M36, target).solutions[0].t_final for target in targets]
+    seeded, first, drawn = np.array(seeded), np.array(first), np.array(drawn)
+    assert np.all(seeded <= drawn * (1.0 + 1e-9))
+    minimal = np.abs(first / np.minimum(seeded, drawn) - 1.0) <= 1e-9
+    assert minimal.sum() >= 24
+
+
+def test_straight_targets_keep_the_drawn_starts_bits(monkeypatch):
+    # a straight (3,6) target (z = 0) gets no grid seed: the drawn starts run
+    # as they do without the seeds, to the bit
+    cases = [((L * L, 0.0, 0.0), knobs) for L in (1.0, 5.0, 9.0)
+             for knobs in ({}, {"early_stop": 1}, {"early_stop": 2})]
+    got = [_solve_bits(Model.M36, target, **knobs) for target, knobs in cases]
+    _drawn_starts_only(monkeypatch, Model.M36)
+    assert got == [_solve_bits(Model.M36, target, **knobs) for target, knobs in cases]
+
+
+def test_seed_table_is_built_on_the_first_seeded_solve():
+    # importing the package and computing invariants leave the table unbuilt
+    # (the cache is empty); a (3,6) solve builds it once, read-only
+    inline = json.dumps({"model": "36", "point": REF36_TARGET})
+    code = (
+        "import carnotga.cli, carnotga.models as models\n"
+        f"assert carnotga.cli.main(['invariants', '--target', {inline!r}]) == 0\n"
+        "assert models._seed_table_36.cache_info().currsize == 0\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    solve(Model.M36, REF36_INVARIANTS, SolveOptions(early_stop=1))
+    table = _seed_table_36()
+    assert _seed_table_36.cache_info().currsize == 1 and _seed_table_36() is table
+    assert [a.shape for a in table] == [(128, 64, 2), (127,), (63,), (127, 63)]
+    assert not any(a.flags.writeable for a in table)
 
 
 def test_solve_results_do_not_depend_on_batch_size(monkeypatch):
@@ -692,7 +769,7 @@ def test_solve_reference_case_36():
     # minimal arrival time comes first and the reference root is that one here
     assert result.solutions[0] in hits
     assert result.converged >= 1
-    assert result.starts_attempted == 64
+    assert result.starts_attempted == 5  # the grid seeds
 
 
 def test_solve_reference_case_47():
@@ -768,7 +845,8 @@ def test_solve_determinism():
 
 
 def test_solve_infeasible_target_raises():
-    with pytest.raises(InfeasibleTarget, match="start outcomes: accepted 0, not_converged 8,"):
+    # 8 grid seeds, then 8 drawn starts: none converges
+    with pytest.raises(InfeasibleTarget, match="start outcomes: accepted 0, not_converged 16,"):
         solve(Model.M36, (1e8, -1e8, 1e8), SolveOptions(max_starts=8, t_max=5.0))
 
 

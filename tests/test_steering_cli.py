@@ -223,7 +223,8 @@ def test_report_roundtrip_and_verify(ref36_target, ref47_target):
         assert len(lines) == 4
         diag = data["diagnostics"]
         assert diag["residual_rows"] > diag["newton_iterations"] > 0
-        assert sum(diag["start_outcomes"].values()) == 64
+        # the five grid seeds for (3,6), the 64 drawn starts for (4,7)
+        assert sum(diag["start_outcomes"].values()) == (5 if model is Model.M36 else 64)
         assert diag["start_outcomes"]["accepted"] == diag["roots"]
         assert data["schema_version"] == 2
         del data["schema_version"]  # a report written before the key still verifies
@@ -413,12 +414,13 @@ def test_cli_exit_infeasible(tmp_path):
 
 
 def test_cli_infeasible_names_start_outcomes(tmp_path, capsys):
-    # every converged root lies beyond --kmax: the message says so per start
+    # every converged root lies beyond --kmax: the message says so per start,
+    # over the 5 grid seeds (out of bounds) and the 16 drawn starts
     target = _target_file(tmp_path, REF36_TARGET, "36")
     assert main(["steer", "--target", target, "--starts", "16", "--kmax", "0.5"]) == EXIT_INFEASIBLE
     err = capsys.readouterr().err
     assert err.startswith("infeasible: no root accepted")
-    assert "start outcomes: accepted 0, not_converged 5, out_of_bounds 11," in err
+    assert "start outcomes: accepted 0, not_converged 5, out_of_bounds 16," in err
 
 
 def test_steer_beyond_the_acceptance_bound_is_infeasible(tmp_path, capsys, ref36_target,
@@ -434,14 +436,19 @@ def test_steer_beyond_the_acceptance_bound_is_infeasible(tmp_path, capsys, ref36
 
 
 def test_cli_huge_bounds_exit_infeasible_without_warning(tmp_path):
-    # huge bounds make residuals overflow: no start converges, and no numpy
-    # warning or least-squares failure escapes the solver
-    for table, model in ((REF36_TARGET, "36"), (REF47_TARGET, "47")):
+    # huge bounds make residuals overflow: no drawn start converges, and no
+    # numpy warning or least-squares failure escapes the solver.  The (3,6)
+    # grid seeds find the root K 0.99, t 5.02 whatever the bounds, so there
+    # the other bound puts it out and the drawn starts run
+    for table, model, runs in (
+            (REF36_TARGET, "36", (["--kmax", "1e300", "--tmax", "5"],
+                                  ["--tmax", "1e300", "--kmax", "0.5"])),
+            (REF47_TARGET, "47", (["--kmax", "1e300"], ["--tmax", "1e300"]))):
         target = _target_file(tmp_path, table, model)
-        for flag in ("--kmax", "--tmax"):
+        for bounds in runs:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                assert main(["steer", "--target", target, flag, "1e300"]) == EXIT_INFEASIBLE
+                assert main(["steer", "--target", target, *bounds]) == EXIT_INFEASIBLE
 
 
 def test_cli_infinite_bounds_rejected_without_warning(tmp_path, capsys):
